@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, noise, observables, spectral
-from .dynamics import Engine, SimConfig, StiffEventError, _as_state_array, _check_mean
+from . import dynamics, observables, spectral
+from .dynamics import SimConfig
 from .errors import CheckFailure
 from .noise import CovarianceSpec
 from .observables import ObservableSpec
@@ -181,38 +181,11 @@ class CouplingRecord:
         return -float(slope)
 
 
-class _ControlHook:
-    """Per-substep shift of the band drift plus Girsanov accounting.
-
-    Expects two state rows (0 = shifted, 1 = target); re-evaluated on every
-    substep so the control stays left-point exact across stiff retries.
-    """
-
-    def __init__(self, cfg: SimConfig, N: int, lam: float):
-        self.N = N
-        self.lam = lam
-        self.alpha_band, self.sqrt_b = _band_arrays(cfg.cov, N)
-        self.log_weight = 0.0
-        self.int_w_sq = 0.0
-
-    def current_control(self, states: np.ndarray) -> np.ndarray:
-        y_band = states[0, 1 : self.N + 1] - states[1, 1 : self.N + 1]
-        return -(0.5 * self.lam) * self.alpha_band * y_band / self.sqrt_b
-
-    def __call__(self, states, nl, dt, eta):
-        w = self.current_control(states)
-        if nl is None:
-            nl = np.zeros_like(states)
-        else:
-            nl = nl.copy()
-        nl[0, 1 : self.N + 1] += self.lam * (
-            states[1, 1 : self.N + 1] - states[0, 1 : self.N + 1]
-        )
-        dW_band = eta[0, 1 : self.N + 1] / self.sqrt_b
-        w_sq = float(np.dot(w, w))
-        self.log_weight += float(np.dot(w, dW_band)) - 0.5 * w_sq * dt
-        self.int_w_sq += w_sq * dt
-        return nl
+def _band_shift(cfg: SimConfig, N: int):
+    """Kernel band part (lam, alpha_band, sqrt_b); validates the band condition."""
+    lam = cfg.potential.lam if cfg.potential.active else 0.0
+    contraction_rate(N, lam)
+    return (lam, *_band_arrays(cfg.cov, N))
 
 
 def simulate_coupled(
@@ -226,56 +199,25 @@ def simulate_coupled(
 ) -> CouplingRecord:
     """Integrate one coupled pair and record distance, control, and weight.
 
-    With check=True a violation of the pathwise decay envelope
+    Copy 0 is the shifted copy started at x0, copy 1 the target started at
+    y0.  With check=True a violation of the pathwise decay envelope
     exp(-delta t) (1 + tol) raises CheckFailure.
     """
-    lam = cfg.potential.lam if cfg.potential.active else 0.0
-    rate = contraction_rate(N, lam)
-    kappa = control_gain(cfg.cov, lam, N)
-
-    xa = _as_state_array(x0, cfg.M)
-    ya = _as_state_array(y0, cfg.M)
-    _check_mean(xa, cfg.c)
-    _check_mean(ya, cfg.c)
-
-    driver = dynamics._PathDriver(cfg, rows=2, rng=noise.stream(cfg.seed, 0), shared=True)
-    eng = driver.engine
-    hook = _ControlHook(cfg, N, lam)
-
-    states = np.stack([xa, ya])
-    grids = eng.grid(states) if eng.needs_grid else None
-    if not driver.check_guard(grids):
-        raise StiffEventError("initial state already exceeds the sup-norm guard")
-
-    marks = set(int(i) for i in dynamics.save_steps(cfg))
-
-    def dist_of(st):
-        return math.sqrt(spectral.seminorm_sq_many(st[0] - st[1], -1.0))
-
-    times = [0.0]
-    dist = [dist_of(states)]
-    int_w2 = [0.0]
-    logw = [0.0]
-    wnorm = [float(np.linalg.norm(hook.current_control(states)))]
-
-    for i in range(cfg.steps):
-        eta = eng.scatter_noise(driver.draw_xi(), cfg.dt, states.shape)
-        states, grids = driver.substep(states, grids, eta, cfg.dt, 0, nl_hook=hook)
-        if (i + 1) in marks:
-            times.append((i + 1) * cfg.dt)
-            dist.append(dist_of(states))
-            int_w2.append(hook.int_w_sq)
-            logw.append(hook.log_weight)
-            wnorm.append(float(np.linalg.norm(hook.current_control(states))))
-
+    band = _band_shift(cfg, N)
+    lam, alpha_band, sqrt_b = band
+    _, saved, running = dynamics._run_paths(
+        cfg, np.stack([dynamics._tile_starts(v, cfg, 1) for v in (x0, y0)]), band=band
+    )
+    diff = saved[0, 0] - saved[1, 0]
+    w = -(0.5 * lam) * alpha_band * diff[:, 1 : N + 1] / sqrt_b
     record = CouplingRecord(
-        times=np.asarray(times),
-        dist_m1=np.asarray(dist),
-        control_sq_integral=np.asarray(int_w2),
-        log_weight=np.asarray(logw),
-        control_norm=np.asarray(wnorm),
-        rate=rate,
-        kappa=kappa,
+        times=dynamics.save_steps(cfg) * cfg.dt,
+        dist_m1=np.sqrt(spectral.seminorm_sq_many(diff, -1.0)),
+        control_sq_integral=running["int_w_sq"][0],
+        log_weight=running["log_weight"][0],
+        control_norm=np.linalg.norm(w, axis=-1),
+        rate=contraction_rate(N, lam),
+        kappa=control_gain(cfg.cov, lam, N),
     )
     if check:
         envelope = record.decay_envelope(tol)
@@ -306,90 +248,6 @@ class CoupledEnsemble:
         return int(np.sum(self.failed_step >= 0))
 
 
-def _coupled_worker(
-    cfg: SimConfig,
-    N: int,
-    lam: float,
-    shifted_all: np.ndarray,
-    target_all: np.ndarray,
-    r_lo: int,
-    r_hi: int,
-    log_weight: np.ndarray,
-    int_w_sq: np.ndarray,
-    failed: np.ndarray,
-    dist_path: np.ndarray | None,
-    final_dist_sq: np.ndarray,
-    marks: np.ndarray,
-):
-    eng = Engine(cfg)
-    alpha_band, sqrt_b = _band_arrays(cfg.cov, N)
-    band = slice(1, N + 1)
-    R = r_hi - r_lo
-    blocks = dynamics._NoiseBlocks(cfg.seed, range(r_lo, r_hi), eng.active.size, cfg.steps)
-    mark_pos = {int(s): j for j, s in enumerate(marks)}
-
-    alive = np.ones(R, dtype=bool)
-    both = np.concatenate([shifted_all[r_lo:r_hi], target_all[r_lo:r_hi]], axis=0)
-    safe_row = np.zeros(cfg.M + 1)
-    safe_row[0] = cfg.c
-
-    grids = eng.grid(both) if eng.needs_grid else None
-    if grids is not None and np.max(np.abs(grids)) > eng.guard:
-        raise StiffEventError("initial state exceeds the sup-norm guard")
-
-    if dist_path is not None:
-        dist_path[r_lo:r_hi, 0] = spectral.seminorm_sq_many(both[:R] - both[R:], -1.0)
-
-    all_alive = True
-    for i in range(cfg.steps):
-        xi = blocks.normals(i)
-        eta = eng.scatter_noise(xi, cfg.dt, (R, cfg.M + 1))
-        if not all_alive:
-            eta[~alive] = 0.0
-
-        y_band = both[:R, band] - both[R:, band]
-        w = -(0.5 * lam) * alpha_band * y_band / sqrt_b
-        w_sq = np.einsum("rk,rk->r", w, w)
-        dW_band = eta[:, band] / sqrt_b
-        log_weight[r_lo:r_hi] += (
-            np.einsum("rk,rk->r", w, dW_band) - 0.5 * w_sq * cfg.dt
-        ) * alive
-        int_w_sq[r_lo:r_hi] += w_sq * cfg.dt * alive
-
-        nl = eng.nonlin_modes(grids) if eng.needs_grid else None
-        if lam != 0.0:
-            if nl is None:
-                nl = np.zeros_like(both)
-            nl[:R, band] -= lam * y_band
-
-        eta2 = np.concatenate([eta, eta], axis=0)
-        new_both = eng.advance(both, eta2, cfg.dt, nl)
-        if not all_alive:
-            new_both[:R][~alive] = both[:R][~alive]
-            new_both[R:][~alive] = both[R:][~alive]
-
-        if eng.needs_grid:
-            new_grids = eng.grid(new_both)
-            sup = np.max(np.abs(new_grids), axis=-1)
-            bad = alive & ((sup[:R] > eng.guard) | (sup[R:] > eng.guard))
-            if np.any(bad):
-                alive &= ~bad
-                all_alive = False
-                failed[r_lo:r_hi][bad] = i + 1
-                for block_slice in (slice(0, R), slice(R, 2 * R)):
-                    new_both[block_slice][bad] = safe_row
-                    new_grids[block_slice][bad] = cfg.c
-        else:
-            new_grids = None
-
-        both, grids = new_both, new_grids
-        j = mark_pos.get(i + 1)
-        if dist_path is not None and j is not None:
-            dist_path[r_lo:r_hi, j] = spectral.seminorm_sq_many(both[:R] - both[R:], -1.0)
-
-    final_dist_sq[r_lo:r_hi] = spectral.seminorm_sq_many(both[:R] - both[R:], -1.0)
-
-
 def coupled_ensemble(
     x0,
     y0,
@@ -407,63 +265,28 @@ def coupled_ensemble(
     Results are identical for any thread count (streams are keyed by the
     absolute pair index and outputs are written by index).
     """
-    lam = cfg.potential.lam if cfg.potential.active else 0.0
-    contraction_rate(N, lam)  # validate the band condition up front
-    _band_arrays(cfg.cov, N)
-
-    def batchify(v):
-        arr = _as_state_array(v, cfg.M) if isinstance(v, ModeVector) else np.asarray(v, float)
-        if arr.ndim == 1:
-            arr = np.tile(arr, (replicas, 1))
-        if arr.shape != (replicas, cfg.M + 1):
-            raise ValueError(f"starts must have shape ({replicas}, {cfg.M + 1})")
-        return arr.copy()
-
-    shifted = batchify(x0)
-    target = batchify(y0)
-    _check_mean(shifted, cfg.c)
-    _check_mean(target, cfg.c)
-
+    kern = dynamics._Kernel(cfg, replicas, copies=2, band=_band_shift(cfg, N))
+    starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
     marks = dynamics.save_steps(cfg)
-    log_weight = np.zeros(replicas)
-    int_w_sq = np.zeros(replicas)
-    failed = np.full(replicas, -1, dtype=np.int64)
-    dist_sq0 = spectral.seminorm_sq_many(shifted - target, -1.0)
+    pos = {int(s): j for j, s in enumerate(marks)}
     dist_path = np.empty((replicas, marks.size)) if record_dist_path else None
-    final_dist_sq = np.empty(replicas)
 
-    threads = max(1, int(threads))
-    bounds = np.linspace(0, replicas, min(threads, replicas) + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    def record(span, step, states):
+        if dist_path is not None and step in pos:
+            n = states.shape[0] // 2
+            dist_path[span, pos[step]] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
 
-    def work(span):
-        _coupled_worker(
-            cfg, N, lam, shifted, target, span[0], span[1],
-            log_weight, int_w_sq, failed, dist_path, final_dist_sq, marks,
-        )
-
-    if len(spans) == 1:
-        work(spans[0])
-    else:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            list(pool.map(work, spans))
-
-    if strict and np.any(failed >= 0):
-        bad = np.flatnonzero(failed >= 0)
-        raise StiffEventError(
-            f"{bad.size} coupled pair(s) exceeded the sup-norm guard",
-            failed_replicas=bad,
-        )
+    final = kern.run(starts, record, threads)
+    if strict:
+        kern.raise_failures("coupled pair(s)")
     return CoupledEnsemble(
         times=marks * cfg.dt,
-        log_weight=log_weight,
-        int_w_sq=int_w_sq,
-        dist0=np.sqrt(dist_sq0),
-        final_dist_sq=final_dist_sq,
+        log_weight=kern.sums["log_weight"],
+        int_w_sq=kern.sums["int_w_sq"],
+        dist0=np.sqrt(spectral.seminorm_sq_many(starts[0] - starts[1], -1.0)),
+        final_dist_sq=spectral.seminorm_sq_many(final[0] - final[1], -1.0),
         dist_sq_path=dist_path,
-        failed_step=failed,
+        failed_step=kern.failed,
     )
 
 

@@ -10,20 +10,25 @@ The stiff bi-Laplacian is inverted exactly per mode, so the linear part is
 unconditionally stable; mode 0 is untouched and mass conservation is exact
 in floating point.
 
-Two execution paths share the same arithmetic:
+Every integration runs one step kernel over a (rows, M+1) batch in which each
+noise stream drives one row (paths, ensembles) or two stacked rows (pairs,
+coupled pairs).  A step tests the grid sup-norm against the guard per noise
+row and books the budget sums (trapezoid / left-point rule, as the
+energy-budget checks consume them) and control sums for accepted substeps
+only.  Callers pick an optional band drift shift with its Girsanov sums
+(``coupling``), a save-grid recorder, and a stiff-step policy:
 
-* single trajectories (``simulate``, ``simulate_pair``) draw noise step by
-  step from one counter-based stream and, when the grid sup-norm crosses the
-  configured guard, retry the offending step on halved substeps obtained by
-  Brownian-bridge refinement of the already-drawn increment (up to
-  ``max_halvings``, then fail loudly);
-* replica ensembles (``run_ensemble``) integrate all replicas as one batch
-  with one noise stream per replica; a replica crossing the guard is marked
-  failed at that step and surfaced, never silently NaN'd.
+* paths and pairs (``simulate``, ``simulate_many``, ``simulate_pair``,
+  ``coupling.simulate_coupled``) retry a rejected row on halved substeps by
+  Brownian-bridge refinement of its increment, up to ``max_halvings`` deep,
+  then fail loudly;
+* ensembles (``run_ensemble``, ``coupling.coupled_ensemble``) mark the row
+  failed at that step, park it at c e_0 and surface it, never silently NaN'd.
 
-Both paths accumulate the dissipation integrals, the gradient functional,
-and the noise martingales at every step (trapezoid / left-point rule), which
-is what the energy-budget checks consume.
+Noise row r draws its step normals in time blocks from stream (seed, r) and
+its bridge normals from ``noise.bridge_stream(seed, r)``, created at its
+first retry, so a row's numbers do not depend on the rows or threads it
+shares a batch with: a path equals its batch member even when it retries.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from .potential import PotentialSpec
 from .spectral import ModeVector
 
 MEAN_TOL = 1e-9
+# per-row sums a kernel books; BUDGET_KEYS are also Trajectory fields
+BUDGET_KEYS = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
+CONTROL_KEYS = ("log_weight", "int_w_sq")
 
 
 class StiffEventError(RuntimeError):
@@ -119,9 +127,6 @@ class Trajectory:
     mart_0: float  # 2 * integral of <X, sqrt(B) dW>
     config: SimConfig
     stiff_retries: int = 0
-
-    def state_at(self, i: int) -> ModeVector:
-        return ModeVector(self.states[i])
 
     @property
     def horizon(self) -> float:
@@ -220,7 +225,8 @@ class Engine:
         if self.grad_mat is None or grids is None:
             gg = np.zeros_like(np.asarray(h1))
         else:
-            grad = states[..., 1:] @ self.grad_mat
+            # einsum, not BLAS: a row's value must not depend on its batch size
+            grad = np.einsum("...k,kq->...q", states[..., 1:], self.grad_mat)
             u2 = grids * grids
             n = self.cfg.potential.n
             power_sum = np.ones_like(u2)
@@ -259,153 +265,254 @@ def save_steps(cfg: SimConfig) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-class _Budget:
-    __slots__ = ("diss_h1", "diss_h2", "grad_fn", "mart_m1", "mart_0")
-
-    def __init__(self):
-        self.diss_h1 = 0.0
-        self.diss_h2 = 0.0
-        self.grad_fn = 0.0
-        self.mart_m1 = 0.0
-        self.mart_0 = 0.0
+# ---------------------------------------------------------------------------
+# the step kernel
+# ---------------------------------------------------------------------------
 
 
-class _PathDriver:
-    """Small-batch driver with Brownian-bridge stiff retries.
+def _noise_blocks(seed: int, ids, n_active: int, steps: int):
+    """Each step's (rows, n_active) standard normals, drawn in time blocks of
+    about 64 MB; per row the sequence equals per-step draws from its stream."""
+    gens = [noise.stream(seed, r) for r in ids]
+    block = max(1, min(steps, 8_000_000 // max(1, len(gens) * n_active)))
+    for lo in range(0, steps, block):
+        buf = np.empty((len(gens), min(block, steps - lo), n_active))
+        for r, gen in enumerate(gens):
+            buf[r] = gen.standard_normal(buf.shape[1:])
+        yield from buf.transpose(1, 0, 2)  # per-step views, no copy
 
-    With shared=True every row receives the identical increment sequence
-    (pair and coupled runs); retries halve dt for all rows simultaneously
-    and the bridge refinements stay shared as well.
+
+class _Kernel:
+    """The one semi-implicit step (see the module docstring).
+
+    A span of n noise rows holds `copies` stacked blocks of n state rows;
+    noise row r drives state rows r, r + n, ...  The parts: band =
+    (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy 1 and
+    books the Girsanov sums; retry selects the bridge policy over marking
+    failures; budgets books the budget sums (one copy only).  sums, failed
+    and retries are per noise row; row r uses stream first_stream + r.
     """
 
-    def __init__(
-        self, cfg: SimConfig, rows: int, rng: np.random.Generator, shared: bool = False
-    ):
+    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, retry: bool = False,
+                 band=None, budgets: bool = False, first_stream: int = 0):
         self.cfg = cfg
-        self.engine = Engine(cfg)
-        self.rng = rng
-        self.rows = rows
-        self.shared = shared
-        self.budget = _Budget()
-        self.retries = 0
+        self.eng = Engine(cfg)
+        self.copies = copies
+        self.retry = retry
+        self.band = band
+        self.budgets = budgets
+        self.first_stream = first_stream
+        keys = (BUDGET_KEYS if budgets else ()) + (CONTROL_KEYS if band is not None else ())
+        self.sums = {k: np.zeros(rows) for k in keys}
+        self.failed = np.full(rows, -1, dtype=np.int64)
+        self.retries = np.zeros(rows, dtype=np.int64)
+        self.alive = np.ones(rows, dtype=bool)
+        self._bridges: dict[int, np.random.Generator] = {}
 
-    def draw_xi(self) -> np.ndarray:
-        n_act = self.engine.active.size
-        if n_act == 0:
-            return np.zeros((self.rows, 0))
-        if self.shared:
-            return np.repeat(self.rng.standard_normal((1, n_act)), self.rows, axis=0)
-        return self.rng.standard_normal((self.rows, n_act))
+    def run(self, starts: np.ndarray, record, threads: int = 1) -> np.ndarray:
+        """Integrate starts (copies, rows, M+1) over cfg.steps, the rows split
+        into one span per thread; returns the final states.
 
-    def check_guard(self, grids: np.ndarray | None) -> bool:
-        if grids is None:
-            return True
-        return bool(np.max(np.abs(grids)) <= self.engine.guard)
-
-    def substep(self, states, grids, eta, dt, depth, nl_hook=None):
-        """Advance one interval of length dt, splitting on guard violations.
-
-        nl_hook(states, nl_modes) may replace the nonlinearity coefficient
-        vector (the coupled driver uses it for the low-mode shift); it is
-        re-evaluated on every substep so controls stay left-point exact.
+        record(span, step, states) sees each span's batch at the start and
+        after every step.  Results do not depend on the thread count.
         """
-        eng = self.engine
-        nl = eng.nonlin_modes(grids) if eng.needs_grid else None
-        if nl_hook is not None:
-            nl = nl_hook(states, nl, dt, eta)
-        cand = eng.advance(states, eta, dt, nl)
-        cand_grids = eng.grid(cand) if eng.needs_grid else None
-        if not self.check_guard(cand_grids):
-            if depth >= self.cfg.max_halvings:
-                raise StiffEventError(
-                    f"grid sup-norm exceeded guard {eng.guard} after "
-                    f"{self.cfg.max_halvings} halvings of dt={self.cfg.dt}"
-                )
-            self.retries += 1
-            half = 0.5 * eta + 0.5 * math.sqrt(dt) * self.engine.scatter_noise(
-                self.draw_xi(), 1.0, eta.shape
+        cfg, eng = self.cfg, self.eng
+        final = np.empty_like(starts)
+
+        def span_run(lo, hi):
+            span = slice(lo, hi)
+            ids = range(self.first_stream + lo, self.first_stream + hi)
+            normals = _noise_blocks(cfg.seed, ids, eng.active.size, cfg.steps)
+            states = starts[:, span].reshape(-1, cfg.M + 1)
+            grids = self.start(states, lo)
+            h = eng.h_integrands(states, grids) if self.budgets else None
+            record(span, 0, states)
+            for step, xi in enumerate(normals, 1):
+                eta = eng.scatter_noise(xi, cfg.dt, (hi - lo, cfg.M + 1))
+                states, grids, h = self.substep(span, states, grids, h, eta, cfg.dt, step)
+                record(span, step, states)
+            final[:, span] = states.reshape(self.copies, hi - lo, -1)
+
+        n = min(max(1, int(threads)), starts.shape[1])
+        bounds = [int(b) for b in np.linspace(0, starts.shape[1], n + 1)]
+        if n == 1:
+            span_run(*bounds)
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
+                list(pool.map(span_run, bounds[:-1], bounds[1:]))
+        return final
+
+    def sup_ok(self, grids: np.ndarray) -> np.ndarray:
+        """Per noise row: every copy's grid stays within the guard (NaN fails)."""
+        sup = np.max(np.abs(grids), axis=-1).reshape(self.copies, -1)
+        return np.all(sup <= self.eng.guard, axis=0)
+
+    def start(self, states: np.ndarray, lo: int = 0):
+        """Grids of a starting span; raises when a row starts beyond the guard."""
+        if not self.eng.needs_grid:
+            return None
+        grids = self.eng.grid(states)
+        ok = self.sup_ok(grids)
+        if not ok.all():
+            raise StiffEventError(
+                "initial state exceeds the sup-norm guard",
+                failed_replicas=np.flatnonzero(~ok) + lo,
             )
-            states, grids = self.substep(states, grids, half, 0.5 * dt, depth + 1, nl_hook)
-            return self.substep(states, grids, eta - half, 0.5 * dt, depth + 1, nl_hook)
+        return grids
 
-        h1a, h2a, gga = eng.h_integrands(states, grids)
-        h1b, h2b, ggb = eng.h_integrands(cand, cand_grids)
-        w = 0.5 * dt
-        b = self.budget
-        b.diss_h1 += float(np.sum(h1a + h1b)) * w
-        b.diss_h2 += float(np.sum(h2a + h2b)) * w
-        b.grad_fn += float(np.sum(gga + ggb)) * w
-        m1, m0 = eng.mart_weights(states, eta)
-        b.mart_m1 += float(np.sum(m1))
-        b.mart_0 += float(np.sum(m0))
-        return cand, cand_grids
+    def substep(self, rows, states, grids, h, eta, dt, step, depth=0):
+        """Advance noise rows `rows` (a span slice or an index array) by dt
+        with increments eta; returns the new states, grids and budget
+        integrands (None unless budgets are booked)."""
+        eng = self.eng
+        k = eta.shape[0]
+        nl = eng.nonlin_modes(grids) if eng.needs_grid else None
+        if self.band is not None:
+            lam, alpha_band, sqrt_b = self.band
+            band = slice(1, alpha_band.size + 1)
+            y_band = states[:k, band] - states[k:, band]
+            w = -(0.5 * lam) * alpha_band * y_band / sqrt_b
+            if lam != 0.0:
+                if nl is None:
+                    nl = np.zeros_like(states)
+                nl[:k, band] -= lam * y_band
+        eta_rows = eta if self.copies == 1 else np.concatenate([eta] * self.copies)
+        cand = eng.advance(states, eta_rows, dt, nl)
+        cand_grids = eng.grid(cand) if eng.needs_grid else None
+
+        ok = None
+        if cand_grids is not None:
+            ok = self.sup_ok(cand_grids)
+            if not self.retry:
+                ok &= self.alive[rows]
+            if ok.all():
+                ok = None
+        if ok is not None:
+            rejected = np.flatnonzero(~ok)
+            sub = np.concatenate([rejected + c * k for c in range(self.copies)])
+            if self.retry:
+                cand[sub], cand_grids[sub], _ = self._bisect(
+                    np.arange(self.failed.size)[rows][rejected], sub,
+                    states, grids, h, eta[rejected], dt, step, depth,
+                )
+            else:
+                self.failed[rows][~ok & self.alive[rows]] = step
+                self.alive[rows] &= ok
+                cand[sub] = 0.0
+                cand[sub, 0] = self.cfg.c
+                cand_grids[sub] = self.cfg.c
+
+        hn = eng.h_integrands(cand, cand_grids) if self.budgets else None
+        booked = {}
+        if self.budgets:  # trapezoid integrals, then left-point martingales
+            booked = {key: (a + b) * (0.5 * dt) for key, a, b in zip(BUDGET_KEYS, h, hn)}
+            booked["mart_m1"], booked["mart_0"] = eng.mart_weights(states, eta)
+        if self.band is not None:
+            w_sq = np.einsum("rk,rk->r", w, w)
+            dW_band = eta[:, band] / sqrt_b
+            booked["log_weight"] = np.einsum("rk,rk->r", w, dW_band) - 0.5 * w_sq * dt
+            booked["int_w_sq"] = w_sq * dt
+        for key, value in booked.items():
+            self.sums[key][rows] += value if ok is None else np.where(ok, value, 0.0)
+        return cand, cand_grids, hn
+
+    def _bisect(self, rows, sub, states, grids, h, eta, dt, step, depth):
+        """Re-run noise rows `rows` (state rows `sub` of the batch) on two
+        halved substeps whose increments bridge the rejected eta."""
+        if depth >= self.cfg.max_halvings:
+            raise StiffEventError(
+                f"grid sup-norm exceeded guard {self.eng.guard} after "
+                f"{self.cfg.max_halvings} halvings of dt={self.cfg.dt}"
+            )
+        self.retries[rows] += 1
+        xi = np.array([self._bridge(int(r)).standard_normal(self.eng.active.size) for r in rows])
+        half = 0.5 * eta + 0.5 * math.sqrt(dt) * self.eng.scatter_noise(xi, 1.0, eta.shape)
+        sub_h = None if h is None else tuple(a[sub] for a in h)
+        mid = self.substep(rows, states[sub], grids[sub], sub_h, half, 0.5 * dt, step, depth + 1)
+        return self.substep(rows, *mid, eta - half, 0.5 * dt, step, depth + 1)
+
+    def _bridge(self, r: int) -> np.random.Generator:
+        if r not in self._bridges:
+            self._bridges[r] = noise.bridge_stream(self.cfg.seed, self.first_stream + r)
+        return self._bridges[r]
+
+    def raise_failures(self, what: str):
+        """StiffEventError naming the failed rows, if there are any."""
+        bad = np.flatnonzero(self.failed >= 0)
+        if bad.size:
+            raise StiffEventError(
+                f"{bad.size} {what} exceeded the sup-norm guard "
+                f"(first: {bad[0]} at step {self.failed[bad[0]]})",
+                failed_replicas=bad,
+            )
 
 
-def _record_observables(states, grids, cfg: SimConfig):
-    return {
-        "mean": states[..., 0].copy(),
+def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, **parts):
+    """Integrate starts (copies, R, M+1) with stiff retries, saving every state
+    row on the save grid.
+
+    Returns the kernel, the saved states (copies, R, S, M+1) and, with a band
+    shift, the running Girsanov sums on the save grid, name -> (R, S).
+    """
+    marks = save_steps(cfg)
+    pos = {int(s): j for j, s in enumerate(marks)}
+    copies, R, K = starts.shape
+    saved = np.empty((copies, R, marks.size, K))
+    running = {k: np.empty((R, marks.size)) for k in CONTROL_KEYS} if parts.get("band") else {}
+    kern = _Kernel(cfg, R, copies=copies, retry=True, **parts)
+
+    def record(span, step, states):
+        j = pos.get(step)
+        if j is not None:
+            saved[:, span, j] = states.reshape(copies, -1, K)
+            for key, acc in running.items():
+                acc[span, j] = kern.sums[key][span]
+
+    kern.run(starts, record, threads)
+    return kern, saved, running
+
+
+def _trajectory(cfg: SimConfig, states: np.ndarray, sums: dict, retries: int) -> Trajectory:
+    observables = {
+        "mean": states[:, 0].copy(),
         "norm_m1": np.sqrt(spectral.seminorm_sq_many(states, -1.0)),
         "norm_1": np.sqrt(spectral.seminorm_sq_many(states, 1.0)),
-        "sup": np.max(np.abs(grids), axis=-1),
+        "sup": np.max(np.abs(spectral.synthesize_many(states, cfg.grid_size)), axis=-1),
         "energy": potential.free_energy_many(states, cfg.potential, cfg.grid_size),
-    }
-
-
-def simulate(
-    x0: ModeVector, cfg: SimConfig, *, rng: np.random.Generator | None = None
-) -> Trajectory:
-    """Integrate one trajectory and record observables on the save grid.
-
-    The noise stream defaults to the replica-0 stream of cfg.seed, so a
-    single run reproduces member 0 of an ensemble with the same config.
-    """
-    state = _as_state_array(x0, cfg.M)
-    if state.ndim != 1:
-        raise ValueError("simulate expects a single state")
-    _check_mean(state, cfg.c)
-    if rng is None:
-        rng = noise.stream(cfg.seed, 0)
-
-    driver = _PathDriver(cfg, rows=1, rng=rng)
-    eng = driver.engine
-    states = state[None, :]
-    grids = eng.grid(states) if eng.needs_grid else None
-    if not driver.check_guard(grids):
-        raise StiffEventError("initial state already exceeds the sup-norm guard")
-
-    marks = save_steps(cfg)
-    mark_set = set(int(i) for i in marks)
-    times = [0.0]
-    saved = [states[0].copy()]
-    obs_rows = [_record_observables(states, eng.grid(states) if grids is None else grids, cfg)]
-
-    for i in range(cfg.steps):
-        eta = eng.scatter_noise(driver.draw_xi(), cfg.dt, states.shape)
-        states, grids = driver.substep(states, grids, eta, cfg.dt, 0)
-        if (i + 1) in mark_set:
-            times.append((i + 1) * cfg.dt)
-            saved.append(states[0].copy())
-            g = grids if grids is not None else eng.grid(states)
-            obs_rows.append(_record_observables(states, g, cfg))
-
-    observables = {
-        name: np.array([row[name][0] for row in obs_rows]) for name in obs_rows[0]
     }
     if np.max(np.abs(observables["mean"] - cfg.c)) > 1e-12:
         raise RuntimeError("mass conservation broken: mean drifted beyond 1e-12")
-    b = driver.budget
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(saved),
+        times=save_steps(cfg) * cfg.dt,
+        states=states,
         observables=observables,
-        diss_h1=b.diss_h1,
-        diss_h2=b.diss_h2,
-        grad_functional=b.grad_fn,
-        mart_m1=b.mart_m1,
-        mart_0=b.mart_0,
         config=cfg,
-        stiff_retries=driver.retries,
+        stiff_retries=int(retries),
+        **{key: float(sums.get(key, "nan")) for key in BUDGET_KEYS},
     )
+
+
+def simulate_many(x_list, cfg: SimConfig, *, threads: int = 1) -> list[Trajectory]:
+    """Integrate several starts as one batch; start i draws from stream (seed, i).
+
+    Trajectory i equals ``simulate`` of start i on stream i bit for bit,
+    stiff retries included, for any thread count.
+    """
+    starts = _tile_starts(np.stack([_as_state_array(x, cfg.M) for x in x_list]), cfg, len(x_list))
+    kern, saved, _ = _run_paths(cfg, starts[None], threads=threads, budgets=True)
+    return [
+        _trajectory(cfg, saved[0, r], {k: v[r] for k, v in kern.sums.items()}, kern.retries[r])
+        for r in range(starts.shape[0])
+    ]
+
+
+def simulate(x0: ModeVector, cfg: SimConfig) -> Trajectory:
+    """Integrate one trajectory and record observables on the save grid.
+
+    The noise stream is the replica-0 stream of cfg.seed, so a single run
+    reproduces member 0 of an ensemble with the same config.
+    """
+    return simulate_many([x0], cfg)[0]
 
 
 def step(v: ModeVector, dW: ModeVector, cfg: SimConfig) -> ModeVector:
@@ -414,14 +521,11 @@ def step(v: ModeVector, dW: ModeVector, cfg: SimConfig) -> ModeVector:
     Raises StiffEventError when the input or updated state exceeds the
     sup-norm guard; callers may halve dt and retry with bridged noise.
     """
-    eng = Engine(cfg)
+    kern = _Kernel(cfg, 1)
     state = _as_state_array(v, cfg.M)[None, :]
-    grids = eng.grid(state) if eng.needs_grid else None
-    if grids is not None and np.max(np.abs(grids)) > eng.guard:
-        raise StiffEventError("input state exceeds the sup-norm guard")
-    nl = eng.nonlin_modes(grids) if eng.needs_grid else None
-    out = eng.advance(state, dW.coeffs[None, :], cfg.dt, nl)
-    if eng.needs_grid and np.max(np.abs(eng.grid(out))) > eng.guard:
+    grids = kern.start(state)
+    out, _, _ = kern.substep(slice(0, 1), state, grids, None, dW.coeffs[None, :], cfg.dt, 1)
+    if kern.failed[0] >= 0:
         raise StiffEventError("updated state exceeds the sup-norm guard")
     return ModeVector(out[0])
 
@@ -434,55 +538,9 @@ def simulate_pair(
     Returns both trajectories and the path of |X(t,x) - X(t,y)|_{-1} on the
     save grid.
     """
-    xa = _as_state_array(x0, cfg.M)
-    ya = _as_state_array(y0, cfg.M)
-    _check_mean(xa, cfg.c)
-    _check_mean(ya, cfg.c)
-    rng = noise.stream(cfg.seed, 0)
-    driver = _PathDriver(cfg, rows=2, rng=rng, shared=True)
-    eng = driver.engine
-
-    states = np.stack([xa, ya])
-    grids = eng.grid(states) if eng.needs_grid else None
-    if not driver.check_guard(grids):
-        raise StiffEventError("initial state already exceeds the sup-norm guard")
-
-    marks = set(int(i) for i in save_steps(cfg))
-    times = [0.0]
-    saved = [states.copy()]
-    dist = [math.sqrt(spectral.seminorm_sq_many(states[0] - states[1], -1.0))]
-    obs_rows = [_record_observables(states, grids if grids is not None else eng.grid(states), cfg)]
-
-    for i in range(cfg.steps):
-        eta = eng.scatter_noise(driver.draw_xi(), cfg.dt, states.shape)
-        states, grids = driver.substep(states, grids, eta, cfg.dt, 0)
-        if (i + 1) in marks:
-            times.append((i + 1) * cfg.dt)
-            saved.append(states.copy())
-            dist.append(math.sqrt(spectral.seminorm_sq_many(states[0] - states[1], -1.0)))
-            g = grids if grids is not None else eng.grid(states)
-            obs_rows.append(_record_observables(states, g, cfg))
-
-    saved_arr = np.asarray(saved)  # (S, 2, K)
-    trajs = []
-    for row in (0, 1):
-        observables = {
-            name: np.array([r[name][row] for r in obs_rows]) for name in obs_rows[0]
-        }
-        trajs.append(
-            Trajectory(
-                times=np.asarray(times),
-                states=saved_arr[:, row, :],
-                observables=observables,
-                diss_h1=float("nan"),
-                diss_h2=float("nan"),
-                grad_functional=float("nan"),
-                mart_m1=float("nan"),
-                mart_0=float("nan"),
-                config=cfg,
-            )
-        )
-    return trajs[0], trajs[1], np.asarray(dist)
+    kern, saved, _ = _run_paths(cfg, np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)]))
+    tx, ty = (_trajectory(cfg, saved[c, 0], {}, kern.retries[0]) for c in (0, 1))
+    return tx, ty, np.sqrt(spectral.seminorm_sq_many(tx.states - ty.states, -1.0))
 
 
 def ito_budget_m1(traj: Trajectory, cfg: SimConfig) -> EnergyBudget:
@@ -527,6 +585,17 @@ def ito_budget_0(traj: Trajectory, cfg: SimConfig) -> EnergyBudget:
 # ---------------------------------------------------------------------------
 
 
+def _tile_starts(x0, cfg: SimConfig, replicas: int) -> np.ndarray:
+    """One start for every replica, or an (R, M+1) batch of per-replica starts."""
+    arr = _as_state_array(x0, cfg.M)
+    if arr.ndim == 1:
+        arr = np.tile(arr, (replicas, 1))
+    if arr.shape != (replicas, cfg.M + 1):
+        raise ValueError(f"starts must have shape ({replicas}, {cfg.M + 1})")
+    _check_mean(arr, cfg.c)
+    return arr
+
+
 @dataclass
 class EnsembleResult:
     """Per-replica outputs of a batched run."""
@@ -541,123 +610,6 @@ class EnsembleResult:
     @property
     def n_failed(self) -> int:
         return int(np.sum(self.failed_step >= 0))
-
-
-class _NoiseBlocks:
-    """Per-replica standard normals, drawn in time blocks (C order, so the
-    sequence per replica matches per-step draws from the same stream)."""
-
-    def __init__(self, seed: int, replica_ids, n_active: int, total_steps: int):
-        self.gens = [noise.stream(seed, int(r)) for r in replica_ids]
-        self.n_active = n_active
-        self.total = total_steps
-        budget = 8_000_000  # ~64 MB of float64 per block across the batch
-        per_step = max(1, len(self.gens) * max(1, n_active))
-        self.block = max(1, min(total_steps, budget // per_step))
-        self._buf = None
-        self._lo = 0
-        self._hi = 0
-
-    def normals(self, i: int) -> np.ndarray:
-        if self.n_active == 0:
-            return np.zeros((len(self.gens), 0))
-        if not (self._lo <= i < self._hi):
-            self._lo = i
-            self._hi = min(self.total, i + self.block)
-            span = self._hi - self._lo
-            self._buf = np.empty((len(self.gens), span, self.n_active))
-            for r, g in enumerate(self.gens):
-                self._buf[r] = g.standard_normal((span, self.n_active))
-        return self._buf[:, i - self._lo, :]
-
-
-def _ensemble_worker(
-    cfg: SimConfig,
-    x0_arr: np.ndarray,  # (R_total, K) starts
-    r_lo: int,
-    r_hi: int,
-    replica_base: int,
-    record_norm_path: bool,
-    record_budgets: bool,
-    snap_set: dict,
-    out: EnsembleResult,
-    marks: np.ndarray,
-):
-    eng = Engine(cfg)
-    rows = r_hi - r_lo
-    states = x0_arr[r_lo:r_hi].copy()
-    blocks = _NoiseBlocks(
-        cfg.seed, range(replica_base + r_lo, replica_base + r_hi), eng.active.size, cfg.steps
-    )
-    alive = np.ones(rows, dtype=bool)
-    failed = out.failed_step[r_lo:r_hi]
-    safe_row = np.zeros(cfg.M + 1)
-    safe_row[0] = cfg.c
-
-    grids = eng.grid(states) if eng.needs_grid else None
-    if grids is not None:
-        bad = np.max(np.abs(grids), axis=-1) > eng.guard
-        if np.any(bad):
-            raise StiffEventError(
-                "initial state exceeds the sup-norm guard",
-                failed_replicas=np.flatnonzero(bad) + r_lo,
-            )
-
-    if record_budgets:
-        acc = {
-            k: np.zeros(rows)
-            for k in ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
-        }
-        h1, h2, gg = eng.h_integrands(states, grids)
-    else:
-        acc = {}
-
-    mark_pos = {int(s): j for j, s in enumerate(marks)}
-    if record_norm_path:
-        out.norm_m1_sq[r_lo:r_hi, 0] = spectral.seminorm_sq_many(states, -1.0)
-    if 0 in snap_set:
-        out.snapshots[0][r_lo:r_hi] = states
-
-    for i in range(cfg.steps):
-        xi = blocks.normals(i)
-        eta = eng.scatter_noise(xi, cfg.dt, states.shape)
-        eta[~alive] = 0.0
-        nl = eng.nonlin_modes(grids) if eng.needs_grid else None
-        if record_budgets:
-            m1, m0 = eng.mart_weights(states, eta)
-        new_states = eng.advance(states, eta, cfg.dt, nl)
-        new_states[~alive] = states[~alive]
-        if eng.needs_grid:
-            new_grids = eng.grid(new_states)
-            bad = alive & (np.max(np.abs(new_grids), axis=-1) > eng.guard)
-            if np.any(bad):
-                alive &= ~bad
-                failed[bad] = i + 1
-                new_states[bad] = safe_row
-                new_grids[bad] = cfg.c
-        else:
-            new_grids = None
-
-        if record_budgets:
-            h1n, h2n, ggn = eng.h_integrands(new_states, new_grids)
-            w = 0.5 * cfg.dt * alive
-            acc["diss_h1"] += (h1 + h1n) * w
-            acc["diss_h2"] += (h2 + h2n) * w
-            acc["grad_functional"] += (gg + ggn) * w
-            acc["mart_m1"] += m1 * alive
-            acc["mart_0"] += m0 * alive
-            h1, h2, gg = h1n, h2n, ggn
-
-        states, grids = new_states, new_grids
-        j = mark_pos.get(i + 1)
-        if record_norm_path and j is not None:
-            out.norm_m1_sq[r_lo:r_hi, j] = spectral.seminorm_sq_many(states, -1.0)
-        if (i + 1) in snap_set:
-            out.snapshots[i + 1][r_lo:r_hi] = states
-
-    out.final[r_lo:r_hi] = states
-    for k, v in acc.items():
-        out.budgets[k][r_lo:r_hi] = v
 
 
 def run_ensemble(
@@ -679,56 +631,30 @@ def run_ensemble(
     so results are bit-identical for any thread count.  With strict=True a
     stiff replica aborts the run; otherwise it is surfaced in failed_step.
     """
-    if isinstance(x0, ModeVector) or np.asarray(x0).ndim == 1:
-        base = _as_state_array(x0, cfg.M)
-        x0_arr = np.tile(base, (replicas, 1))
-    else:
-        x0_arr = np.asarray(x0, dtype=np.float64).copy()
-        if x0_arr.shape != (replicas, cfg.M + 1):
-            raise ValueError(f"x0 batch must have shape ({replicas}, {cfg.M + 1})")
-    _check_mean(x0_arr, cfg.c)
-
+    starts = _tile_starts(x0, cfg, replicas)
     marks = save_steps(cfg)
-    snap_steps = sorted(set(int(s) for s in snap_steps))
-    for s in snap_steps:
+    pos = {int(s): j for j, s in enumerate(marks)}
+    snapshots = {s: np.empty((replicas, cfg.M + 1)) for s in sorted(set(map(int, snap_steps)))}
+    for s in snapshots:
         if not 0 <= s <= cfg.steps:
             raise ValueError(f"snapshot step {s} outside 0..{cfg.steps}")
+    norm_m1_sq = np.empty((replicas, marks.size)) if record_norm_path else None
 
-    out = EnsembleResult(
+    def record(span, step, states):
+        if norm_m1_sq is not None and step in pos:
+            norm_m1_sq[span, pos[step]] = spectral.seminorm_sq_many(states, -1.0)
+        if step in snapshots:
+            snapshots[step][span] = states
+
+    kern = _Kernel(cfg, replicas, budgets=record_budgets, first_stream=replica_base)
+    final = kern.run(starts[None], record, threads)
+    if strict:
+        kern.raise_failures("replica(s)")
+    return EnsembleResult(
         times=marks * cfg.dt,
-        final=np.empty((replicas, cfg.M + 1)),
-        failed_step=np.full(replicas, -1, dtype=np.int64),
-        norm_m1_sq=np.empty((replicas, marks.size)) if record_norm_path else None,
-        budgets={
-            k: np.empty(replicas)
-            for k in ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
-        }
-        if record_budgets
-        else {},
-        snapshots={s: np.empty((replicas, cfg.M + 1)) for s in snap_steps},
+        final=final[0],
+        failed_step=kern.failed,
+        norm_m1_sq=norm_m1_sq,
+        budgets=kern.sums,
+        snapshots=snapshots,
     )
-
-    threads = max(1, int(threads))
-    bounds = np.linspace(0, replicas, min(threads, replicas) + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-    def work(span):
-        _ensemble_worker(
-            cfg, x0_arr, span[0], span[1], replica_base,
-            record_norm_path, record_budgets, out.snapshots, out, marks,
-        )
-
-    if len(spans) == 1:
-        work(spans[0])
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            list(pool.map(work, spans))
-
-    if strict and out.n_failed:
-        bad = np.flatnonzero(out.failed_step >= 0)
-        raise StiffEventError(
-            f"{bad.size} replica(s) exceeded the sup-norm guard "
-            f"(first: replica {bad[0]} at step {out.failed_step[bad[0]]})",
-            failed_replicas=bad,
-        )
-    return out

@@ -161,11 +161,14 @@ def uniqueness_evidence(
     cfg: SimConfig,
     N: int | None = None,
     burn_in: float | None = None,
+    *,
+    threads: int = 1,
 ) -> ErgodicReport:
     """Compare long-run averages across starts under independent noise.
 
-    Each start integrates with its own replica stream; evidence for a unique
-    invariant measure is that all averages agree within combined CIs.
+    All starts integrate as one batch, start i with replica stream i;
+    evidence for a unique invariant measure is that all averages agree
+    within combined CIs.
     """
     if len(x_list) < 2:
         raise ValueError("need at least two initial states")
@@ -179,8 +182,8 @@ def uniqueness_evidence(
     averages = np.empty((len(x_list), len(phi_list)))
     cis = np.empty_like(averages)
     labels = []
-    for i, x0 in enumerate(x_list):
-        traj = dynamics.simulate(x0, cfg, rng=noise.stream(cfg.seed, i))
+    trajs = dynamics.simulate_many(x_list, cfg, threads=threads)
+    for i, (x0, traj) in enumerate(zip(x_list, trajs)):
         labels.append(f"start{i}|x|={spectral.norm(x0, -1.0):.3g}")
         for j, phi in enumerate(phi_list):
             ta = time_average(traj, phi, burn_in)

@@ -28,6 +28,9 @@ MASK64 = (1 << 64) - 1
 # replica indices at or above this value are reserved for auxiliary draws
 # (initial conditions, oracles) so they never collide with ensemble members
 AUX_STREAM_BASE = 1 << 48
+# replica r's stiff-retry bridge normals use key BRIDGE_STREAM_BASE + r, above
+# every replica and auxiliary key
+BRIDGE_STREAM_BASE = 1 << 49
 
 
 def stream(seed: int, replica: int = 0) -> np.random.Generator:
@@ -39,6 +42,11 @@ def stream(seed: int, replica: int = 0) -> np.random.Generator:
 def aux_stream(seed: int, slot: int = 0) -> np.random.Generator:
     """Stream for auxiliary sampling, disjoint from all replica streams."""
     return stream(seed, AUX_STREAM_BASE + slot)
+
+
+def bridge_stream(seed: int, replica: int) -> np.random.Generator:
+    """Brownian-bridge normals for the stiff retries of one replica."""
+    return stream(seed, BRIDGE_STREAM_BASE + replica)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,6 @@ from .config import (
 )
 from .errors import CheckFailure
 
-CONTRACTION_TOL = 0.05
 LIPSCHITZ_TOL = 0.05
 
 
@@ -160,7 +159,7 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
             ["t", "dist_m1", "control_sq_integral", "log_weight"],
             [record.times, record.dist_m1, record.control_sq_integral, record.log_weight],
         )
-        envelope = record.decay_envelope(CONTRACTION_TOL)
+        envelope = record.decay_envelope(coupling.CONTRACTION_TOL)
         checks["contraction_pathwise"] = bool(np.all(record.dist_m1 <= envelope + 1e-300))
         fitted = record.fitted_rate()
         checks["fitted_rate"] = bool(fitted >= 0.9 * record.rate.operational)
@@ -172,7 +171,9 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
         }
 
     elif cfg.kind == "girsanov":
-        gg = coupling.girsanov_gap(states[0], y_state, sim, cfg.band, cfg.replicas)
+        gg = coupling.girsanov_gap(
+            states[0], y_state, sim, cfg.band, cfg.replicas, threads=cfg.threads
+        )
         write_json(
             emit("girsanov.json"),
             {
@@ -212,7 +213,7 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
     elif cfg.kind == "ergodic":
         phi_list = phis or _default_ergodic_observables()
         report = ergodics.uniqueness_evidence(
-            states, phi_list, sim, N=cfg.band, burn_in=cfg.burn_in
+            states, phi_list, sim, N=cfg.band, burn_in=cfg.burn_in, threads=cfg.threads
         )
         write_json(emit("ergodic.json"), report.to_dict())
         with open(emit("ergodic.txt"), "w", encoding="utf-8") as fh:

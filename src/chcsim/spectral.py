@@ -201,13 +201,6 @@ def norm(v: ModeVector, gamma: float) -> float:
     return float(np.sqrt(seminorm_sq_many(v.coeffs, gamma) + v.mean**2))
 
 
-def inner_m1(u: ModeVector, v: ModeVector) -> float:
-    """Mean-free inner product (u, v)_{-1} = sum_{k>=1} u_k v_k / alpha_k."""
-    M = min(u.order, v.order)
-    w = eigenvalues(M)[1:]
-    return float(np.sum(u.coeffs[1 : M + 1] * v.coeffs[1 : M + 1] / w))
-
-
 def apply_minusA_power(v: ModeVector, p: float) -> ModeVector:
     """Apply the p-th power of the negated Laplacian, mean untouched.
 

@@ -185,3 +185,29 @@ def test_asf_requires_bounded_lipschitz():
     x0 = perturbed_state(cfg, 0.3)
     with pytest.raises(ValueError, match="sup_bound"):
         coupling.asf_estimate(observables.mean(), x0, x0, [0.05], cfg, 2, replicas=4)
+
+
+def test_rejected_step_books_no_control(monkeypatch):
+    # reject the first candidate once: only the two accepted half-steps may
+    # enter the control integral, and together they cover the horizon
+    cfg = make_cfg(M=32, dt=1e-3, T=1e-3, cov=standard_cov(32))
+    x0, y0 = ModeVector.unit(1, 32, amplitude=0.2), ModeVector.zeros(32)
+    plain = coupling.simulate_coupled(x0, y0, cfg, N=2, check=False)
+    assert plain.control_sq_integral[-1] == pytest.approx(0.974e-3, rel=1e-3)
+
+    sup_ok, advance = dynamics._Kernel.sup_ok, dynamics.Engine.advance
+    checks, dts = [], []
+
+    def reject_first_candidate(self, grids):
+        checks.append(len(checks))
+        return sup_ok(self, grids) & (len(checks) != 2)  # check 1 tests the start
+
+    def logged_advance(self, states, eta, dt, nl):
+        dts.append(dt)
+        return advance(self, states, eta, dt, nl)
+
+    monkeypatch.setattr(dynamics._Kernel, "sup_ok", reject_first_candidate)
+    monkeypatch.setattr(dynamics.Engine, "advance", logged_advance)
+    rec = coupling.simulate_coupled(x0, y0, cfg, N=2, check=False)
+    assert dts == [cfg.dt, cfg.dt / 2, cfg.dt / 2] and sum(dts[1:]) == cfg.T
+    assert rec.control_sq_integral[-1] == pytest.approx(plain.control_sq_integral[-1], rel=0.05)

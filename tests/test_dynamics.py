@@ -257,3 +257,27 @@ def test_sim_config_validation():
         make_cfg(M=8, c=1.0, cov=cov)
     with pytest.raises(ValueError):
         make_cfg(M=16, cov=cov)  # covariance order mismatch
+
+
+def test_batched_path_equals_simulate_through_retries():
+    # row 0 retries on bridged substeps, row 1 never does; each row must equal
+    # its own single run, and row 1 also member 1 of an ensemble
+    cfg = make_cfg(
+        M=8, dt=2e-3, T=0.04, cov=band_cov(8, [(1, 0.01), (2, 0.01)], 2), n=20, lam=0.0,
+        sup_guard=1.5, seed=5,
+    )
+    stiff, calm = ModeVector.unit(2, 8, amplitude=0.85), ModeVector.zeros(8)
+    batch = dynamics.simulate_many([stiff, calm], cfg)
+    alone = dynamics.simulate(stiff, cfg)
+    assert alone.stiff_retries > 0 and batch[1].stiff_retries == 0
+    budgets = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
+    for name in ("stiff_retries",) + budgets:
+        assert getattr(batch[0], name) == getattr(alone, name)
+    assert np.array_equal(batch[0].times, alone.times)
+    assert np.array_equal(batch[0].states, alone.states)
+    for name, values in alone.observables.items():
+        assert np.array_equal(batch[0].observables[name], values)
+    ens = dynamics.run_ensemble(calm, cfg, 2, record_budgets=True)
+    assert np.array_equal(ens.final[1], batch[1].states[-1])
+    for name in budgets:
+        assert ens.budgets[name][1] == getattr(batch[1], name)

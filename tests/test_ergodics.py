@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chcsim import dynamics, ergodics, noise, observables, spectral
+from chcsim import coupling, dynamics, ergodics, noise, observables, spectral
 from chcsim.ergodics import InsufficientDataError
 from chcsim.noise import CovarianceSpec
 from chcsim.spectral import ModeVector
@@ -175,3 +175,16 @@ def test_default_burn_in():
     assert burn == pytest.approx(10.0 / (math.pi**4 / 2.0))
     cfg_off = make_cfg(M=8, dt=1e-3, T=50.0, cov=standard_cov(8), potential_mode="off")
     assert ergodics.default_burn_in(cfg_off, N=None) == pytest.approx(5.0)
+
+
+def test_girsanov_and_ergodic_results_ignore_thread_count():
+    cfg = make_cfg(M=16, dt=1e-3, T=0.1, cov=standard_cov(16), seed=89)
+    starts = [perturbed_state(cfg, 0.4, slot=s) for s in range(3)]
+    gaps = [coupling.girsanov_gap(*starts[:2], cfg, 2, replicas=6, threads=t) for t in (1, 3)]
+    assert gaps[0] == gaps[1]
+    phis = [observables.seminorm_sq(-1.0), observables.energy()]
+    reports = [
+        ergodics.uniqueness_evidence(starts, phis, cfg, N=2, burn_in=0.02, threads=t).to_dict()
+        for t in (1, 3)
+    ]
+    assert reports[0] == reports[1]

@@ -167,3 +167,15 @@ def test_aux_streams_disjoint():
     a = noise.wiener_increment(cov, 1.0, noise.aux_stream(5, 0))
     b = noise.wiener_increment(cov, 1.0, noise.stream(5, 0))
     assert not np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_bridge_streams_have_their_own_key_range():
+    def key(gen):
+        return tuple(int(k) for k in gen.bit_generator.state["state"]["key"])
+
+    bridges = {key(noise.bridge_stream(5, r)) for r in range(3)}
+    others = {key(noise.stream(5, r)) for r in range(3)}
+    others |= {key(noise.aux_stream(5, slot)) for slot in range(3)}
+    assert len(bridges) == 3 and not bridges & others
+    # replica indices and auxiliary slots both stay below 2**48
+    assert noise.BRIDGE_STREAM_BASE >= 2 * noise.AUX_STREAM_BASE
