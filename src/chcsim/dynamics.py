@@ -196,8 +196,9 @@ class Engine:
         return spectral.synthesize_many(states, self.Q)
 
     def nonlin_modes(self, grids: np.ndarray) -> np.ndarray:
+        # the nonlinearity array is fresh and ours, so the DCT may reuse it
         return spectral.analyze_many(
-            potential.nonlinearity_grid(grids, self.cfg.potential), self.cfg.M
+            potential.nonlinearity_grid(grids, self.cfg.potential), self.cfg.M, overwrite=True
         )
 
     def scatter_noise(self, xi: np.ndarray, dt: float, out_shape) -> np.ndarray:
@@ -271,15 +272,25 @@ def save_steps(cfg: SimConfig) -> np.ndarray:
 
 
 def _noise_blocks(seed: int, ids, n_active: int, steps: int):
-    """Each step's (rows, n_active) standard normals, drawn in time blocks of
-    about 64 MB; per row the sequence equals per-step draws from its stream."""
+    """Each step's (rows, n_active) standard normals; per row the sequence
+    equals per-step draws from its stream.
+
+    One step-major (block, rows, n_active) buffer of about 64 MB is allocated
+    once and refilled in place for each time block: row r draws its block
+    into a contiguous scratch array, which is copied into buf[:, r].  A
+    yielded step is a contiguous view of the buffer that stays valid until
+    the next refill, so a caller must be done with it when it asks for the
+    next step.
+    """
     gens = [noise.stream(seed, r) for r in ids]
     block = max(1, min(steps, 8_000_000 // max(1, len(gens) * n_active)))
+    buf = np.empty((block, len(gens), n_active))
+    scratch = np.empty((block, n_active))
     for lo in range(0, steps, block):
-        buf = np.empty((len(gens), min(block, steps - lo), n_active))
+        nb = min(block, steps - lo)
         for r, gen in enumerate(gens):
-            buf[r] = gen.standard_normal(buf.shape[1:])
-        yield from buf.transpose(1, 0, 2)  # per-step views, no copy
+            buf[:nb, r] = gen.standard_normal(out=scratch[:nb])
+        yield from buf[:nb]
 
 
 class _Kernel:
@@ -344,7 +355,7 @@ class _Kernel:
 
     def sup_ok(self, grids: np.ndarray) -> np.ndarray:
         """Per noise row: every copy's grid stays within the guard (NaN fails)."""
-        sup = np.max(np.abs(grids), axis=-1).reshape(self.copies, -1)
+        sup = np.maximum(grids.max(axis=-1), -grids.min(axis=-1)).reshape(self.copies, -1)
         return np.all(sup <= self.eng.guard, axis=0)
 
     def start(self, states: np.ndarray, lo: int = 0):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import dynamics, noise, observables, spectral
 from .dynamics import SimConfig, Trajectory
@@ -63,7 +63,7 @@ def time_average(traj: Trajectory, phi: ObservableSpec, burn_in: float) -> TimeA
     mean = float(np.trapezoid(v_sel, t_sel) / (t_sel[-1] - t_sel[0]))
     batch_means = np.array([np.mean(b) for b in np.array_split(v_sel, N_BATCHES)])
     spread = float(np.std(batch_means, ddof=1))
-    tq = scipy.stats.t.ppf(0.975, N_BATCHES - 1)
+    tq = scipy.special.stdtrit(N_BATCHES - 1, 0.975)
     return TimeAverage(mean=mean, ci=float(tq * spread / math.sqrt(N_BATCHES)))
 
 
@@ -219,7 +219,7 @@ def clopper_pearson_lower(hits: int, n: int, confidence: float = 0.95) -> float:
     if hits == 0:
         return 0.0
     alpha = 1.0 - confidence
-    return float(scipy.stats.beta.ppf(alpha / 2.0, hits, n - hits + 1))
+    return float(scipy.special.betaincinv(hits, n - hits + 1, alpha / 2.0))
 
 
 @dataclass(frozen=True)

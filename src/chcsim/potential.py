@@ -26,6 +26,9 @@ from . import spectral
 
 SERIES_TOL = 1e-12
 SERIES_MAX_TERMS = 10_000
+# points per in-place pass of nonlinearity_poly: its two scratch blocks and
+# the block of output stay in cache
+POLY_BLOCK = 16_384
 
 
 class SingularInputError(ValueError):
@@ -70,17 +73,6 @@ class PotentialSpec:
         return self.active and self.n is None
 
 
-def _odd_series(u, n: int):
-    """sum_{k=0}^{n} u^(2k+1)/(2k+1), Horner in u^2 (exactly odd in u)."""
-    u = np.asarray(u, dtype=np.float64)
-    u2 = u * u
-    acc = np.full_like(u, 1.0 / (2 * n + 1))
-    for k in range(n - 1, -1, -1):
-        acc *= u2
-        acc += 1.0 / (2 * k + 1)
-    return u * acc
-
-
 def nonlinearity_exact(u, lam: float):
     """Exact nonlinearity f; returns signed infinity on |u| >= 1.
 
@@ -106,10 +98,32 @@ def nonlinearity_exact(u, lam: float):
 
 
 def nonlinearity_poly(u, spec: PotentialSpec):
-    """Polynomial truncation f_n(u) = -2 sum u^(2k+1)/(2k+1) + lam*u."""
+    """Polynomial truncation f_n(u) = -2 sum u^(2k+1)/(2k+1) + lam*u.
+
+    The odd series is Horner in u^2 (exactly odd in u), evaluated in place
+    over blocks of POLY_BLOCK points so the temporaries stay in cache.
+    """
     if not spec.is_truncated:
         raise ValueError("nonlinearity_poly requires a truncated PotentialSpec")
-    out = -2.0 * _odd_series(u, spec.n) + spec.lam * np.asarray(u, dtype=np.float64)
+    u_arr = np.asarray(u, dtype=np.float64)
+    out = np.empty(u_arr.shape)
+    flat_u, flat_out = u_arr.reshape(-1), out.reshape(-1)
+    n, lam = spec.n, spec.lam
+    u2 = np.empty(min(POLY_BLOCK, flat_u.size))
+    lin = np.empty_like(u2)
+    for lo in range(0, flat_u.size, POLY_BLOCK):
+        x = flat_u[lo : lo + POLY_BLOCK]
+        acc = flat_out[lo : lo + POLY_BLOCK]
+        sq, lu = u2[: x.size], lin[: x.size]
+        np.multiply(x, x, out=sq)
+        acc.fill(1.0 / (2 * n + 1))
+        for k in range(n - 1, -1, -1):
+            acc *= sq
+            acc += 1.0 / (2 * k + 1)
+        acc *= x
+        acc *= -2.0
+        np.multiply(x, lam, out=lu)
+        acc += lu
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(out)
     return out

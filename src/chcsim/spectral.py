@@ -13,7 +13,9 @@ Fields are represented either by their coefficients in this basis (a
 the midpoint nodes theta_q = (q + 1/2)/Q (a ``GridVector``).  Midpoint nodes
 keep the discrete cosine family exactly orthogonal, so analyze/synthesize is
 an exact round trip on band-limited data; both directions are realized with
-fast DCTs.
+fast DCTs.  Synthesis runs its DCT in place on the zero-padded array it
+builds; analysis does so only when the caller hands over its grid values
+(``overwrite=True``), as the step kernel does with each fresh nonlinearity.
 """
 
 from __future__ import annotations
@@ -139,24 +141,25 @@ def synthesize_many(coeffs: np.ndarray, Q: int) -> np.ndarray:
         raise ValueError(f"grid size Q={Q} must be at least M+1={M + 1}")
     pad = np.zeros(coeffs.shape[:-1] + (Q,))
     pad[..., 0] = coeffs[..., 0]
-    pad[..., 1 : M + 1] = coeffs[..., 1:] / SQRT2
-    return scipy.fft.dct(pad, type=3, axis=-1)
+    np.divide(coeffs[..., 1:], SQRT2, out=pad[..., 1 : M + 1])
+    return scipy.fft.dct(pad, type=3, axis=-1, overwrite_x=True)
 
 
-def analyze_many(values: np.ndarray, M: int) -> np.ndarray:
+def analyze_many(values: np.ndarray, M: int, overwrite: bool = False) -> np.ndarray:
     """Project grid values onto modes 0..M; values has shape (..., Q).
 
     coeffs[..., k] = (1/Q) sum_q values[..., q] e_k(theta_q).  Exact inverse
-    of :func:`synthesize_many` whenever Q >= M+1.
+    of :func:`synthesize_many` whenever Q >= M+1.  With overwrite=True the
+    DCT may run in place and leave `values` destroyed.
     """
     values = np.asarray(values, dtype=np.float64)
     Q = values.shape[-1]
     if Q < M + 1:
         raise ValueError(f"grid size Q={Q} must be at least M+1={M + 1}")
-    raw = scipy.fft.dct(values, type=2, axis=-1)
+    raw = scipy.fft.dct(values, type=2, axis=-1, overwrite_x=overwrite)
     out = np.empty(values.shape[:-1] + (M + 1,))
-    out[..., 0] = raw[..., 0] / (2.0 * Q)
-    out[..., 1:] = raw[..., 1 : M + 1] / (SQRT2 * Q)
+    np.divide(raw[..., 0], 2.0 * Q, out=out[..., 0])
+    np.divide(raw[..., 1 : M + 1], SQRT2 * Q, out=out[..., 1:])
     return out
 
 

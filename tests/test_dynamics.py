@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,3 +282,51 @@ def test_batched_path_equals_simulate_through_retries():
     assert np.array_equal(ens.final[1], batch[1].states[-1])
     for name in budgets:
         assert ens.budgets[name][1] == getattr(batch[1], name)
+
+
+# 5000 rows x 1700 steps x 2 modes: time blocks of 800, 800 and 100 steps
+NOISE_ROWS, NOISE_STEPS, NOISE_MODES = 5000, 1700, 2
+
+
+def test_noise_blocks_rows_equal_their_streams():
+    # each row's steps equal direct draws from its stream, in chunks of 100
+    # steps that cross the block boundaries at steps 800 and 1600
+    refs = [noise.stream(3, r) for r in range(NOISE_ROWS)]
+    views = dynamics._noise_blocks(3, range(NOISE_ROWS), NOISE_MODES, NOISE_STEPS)
+    count = 0
+    for i, xi in enumerate(views):
+        if i % 100 == 0:
+            expect = np.stack([g.standard_normal((100, NOISE_MODES)) for g in refs], axis=1)
+        assert xi.shape == (NOISE_ROWS, NOISE_MODES) and xi.flags.c_contiguous
+        assert np.array_equal(xi, expect[i % 100])
+        count += 1
+    assert count == NOISE_STEPS
+
+
+def test_noise_blocks_refill_one_buffer():
+    tracemalloc.start()
+    try:
+        views = dynamics._noise_blocks(3, range(NOISE_ROWS), NOISE_MODES, NOISE_STEPS)
+        first = next(views)
+        for last in views:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.base is last.base
+    assert peak < 1.2 * first.base.nbytes
+
+
+def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
+    cfg = make_cfg(M=8, sup_guard=1.0)
+    kern = dynamics._Kernel(cfg, 4)
+    grids = rng.uniform(-1.2, 1.2, size=(4, cfg.grid_size))
+    grids[2] = rng.uniform(-0.5, 0.5, size=cfg.grid_size)
+    grids[2, 7] = -0.99
+    grids[3, 5] = np.nan
+    ok = kern.sup_ok(grids)
+    assert np.array_equal(ok, np.max(np.abs(grids), axis=-1) <= cfg.sup_guard)
+    assert ok[2] and not ok[3]
+    # two copies: noise row r is state rows r and r + 2
+    pair = dynamics._Kernel(cfg, 2, copies=2)
+    assert np.array_equal(pair.sup_ok(grids), [ok[0] and ok[2], False])

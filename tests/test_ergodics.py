@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from chcsim import coupling, dynamics, ergodics, noise, observables, spectral
 from chcsim.ergodics import InsufficientDataError
@@ -101,6 +103,19 @@ def test_clopper_pearson():
     assert ergodics.clopper_pearson_lower(1, 1000) > 0.0
     with pytest.raises(ValueError):
         ergodics.clopper_pearson_lower(5, 4)
+
+
+def test_special_quantiles_equal_scipy_stats():
+    # the package takes its quantiles from scipy.special to keep scipy.stats
+    # off the import path; the values must not move
+    q = scipy.special.stdtrit(ergodics.N_BATCHES - 1, 0.975)
+    assert q == scipy.stats.t.ppf(0.975, ergodics.N_BATCHES - 1)
+    tail = (1.0 - 0.95) / 2.0  # the lower tail of a 95 % interval
+    for n in (1, 7, 50, 1000, 5000):
+        for hits in sorted({h for h in (1, 2, n // 3, n // 2, n - 1, n) if 1 <= h <= n}):
+            want = scipy.stats.beta.ppf(tail, hits, n - hits + 1)
+            assert scipy.special.betaincinv(hits, n - hits + 1, tail) == want
+            assert ergodics.clopper_pearson_lower(hits, n) == float(want)
 
 
 def test_truncation_sweep_identical_orders():

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from chcsim import cli, runner
 from chcsim.config import (
@@ -208,6 +211,9 @@ def test_cli_ergodic(tmp_path, capsys):
     report = json.load(open(os.path.join(run_dir, "ergodic.json")))
     assert report["elliptic_ok"] is True
     assert os.path.exists(os.path.join(run_dir, "ergodic.txt"))
+    # one stream per start, although replicas keeps its default of 1
+    streams = json.load(open(os.path.join(run_dir, "manifest.json")))["replica_streams"]
+    assert (streams["first"], streams["count"]) == (0, 2)
 
 
 def test_cli_irreducibility(tmp_path, capsys):
@@ -250,6 +256,29 @@ def test_cli_lintest(tmp_path, capsys):
     assert "PASS per_mode_variances" in out
     assert "PASS ks_mode_distribution" in out
     assert "PASS gronwall_envelope" in out
+    streams = json.load(open(out.strip().splitlines()[-1]))["replica_streams"]
+    assert (streams["first"], streams["count"]) == (0, 4000)
+
+
+@pytest.mark.parametrize("R", [1000, 5000])
+def test_ks_normal_equals_kstest(R):
+    rng = np.random.default_rng(R)
+    sample = 0.3 + 0.7 * rng.standard_normal(R)
+    sample[: R // 10] = sample[R // 10 : R // 5]  # ties
+    want = scipy.stats.kstest(sample, scipy.stats.norm(0.25, 0.7).cdf).statistic
+    assert runner.ks_normal(sample, 0.25, 0.7) == want
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold start; the package must not import it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, chcsim.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_plot_log_column_reproduces_decay_rate(tmp_path, capsys):
@@ -289,7 +318,9 @@ def test_manifest_contents(tmp_path):
     manifest = runner.run(cfg, override_out=str(tmp_path))
     data = json.load(open(manifest.path))
     assert data["config_hash"] == config_hash(cfg)
-    assert data["replica_streams"]["keys"] == [[7, 0]]
+    assert data["replica_streams"] == {
+        "scheme": "philox, key = [seed, replica]", "seed": 7, "first": 0, "count": 1,
+    }
     assert data["outputs"] == ["trajectory.csv"]
     assert "created_utc" in data
     parsed_back = parse_config_text(data["config"])

@@ -35,6 +35,34 @@ def test_poly_values():
     assert potential.nonlinearity_poly(0.5, spec) == pytest.approx(-13.0 / 12.0)
 
 
+def _poly_reference(u, n, lam):
+    # f_n as evaluated before the blocked in-place pass: Horner in u^2 on
+    # fresh arrays, then -2 * u * acc + lam * u
+    u = np.asarray(u, dtype=np.float64)
+    u2 = u * u
+    acc = np.full_like(u, 1.0 / (2 * n + 1))
+    for k in range(n - 1, -1, -1):
+        acc *= u2
+        acc += 1.0 / (2 * k + 1)
+    return -2.0 * (u * acc) + lam * u
+
+
+@pytest.mark.parametrize("n, lam", [(0, 0.0), (1, -0.3), (4, 1.0), (20, 2.5)])
+def test_poly_blocks_equal_reference(rng, n, lam):
+    spec = PotentialSpec.truncated(n, lam)
+    block = potential.POLY_BLOCK
+    for shape in [(block - 1,), (block,), (block + 1,), (3 * block + 7,), (1000, 132), (0,)]:
+        u = rng.uniform(-1.2, 1.2, size=shape)
+        want = _poly_reference(u, n, lam)
+        assert np.array_equal(potential.nonlinearity_poly(u, spec), want)
+        assert np.array_equal(potential.nonlinearity_grid(u, spec), want)
+    strided = rng.uniform(-1.0, 1.0, size=(300, 264))[:, ::2]
+    assert np.array_equal(potential.nonlinearity_poly(strided, spec), _poly_reference(strided, n, lam))
+    for u in (0.0, -0.0, 0.37, np.float64(-0.81)):
+        got = potential.nonlinearity_poly(u, spec)
+        assert type(got) is float and got == float(_poly_reference(u, n, lam))
+
+
 def test_poly_converges_to_exact():
     spec = PotentialSpec.truncated(60, 0.0)
     got = potential.nonlinearity_poly(0.5, spec)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,44 @@ def test_dealiased_nonlinearity_matches_dense_quadrature(rng):
         nonlinearity_poly(spectral.synthesize_many(v, Q_dense), spec), M
     )
     assert np.max(np.abs(img_rule - img_dense)) < 1e-8
+
+
+def _synthesize_reference(coeffs, Q):
+    # pad-then-DCT with fresh temporaries, as synthesize_many computed it
+    # before it divided into the pad and ran the DCT in place
+    M = coeffs.shape[-1] - 1
+    pad = np.zeros(coeffs.shape[:-1] + (Q,))
+    pad[..., 0] = coeffs[..., 0]
+    pad[..., 1 : M + 1] = coeffs[..., 1:] / spectral.SQRT2
+    return scipy.fft.dct(pad, type=3, axis=-1)
+
+
+def _analyze_reference(values, M):
+    raw = scipy.fft.dct(values, type=2, axis=-1)
+    out = np.empty(values.shape[:-1] + (M + 1,))
+    out[..., 0] = raw[..., 0] / (2.0 * values.shape[-1])
+    out[..., 1:] = raw[..., 1 : M + 1] / (spectral.SQRT2 * values.shape[-1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "lead, M, Q", [((), 8, 9), ((3,), 8, 36), ((1000,), 32, 132), ((2, 5), 32, 165)]
+)
+def test_in_place_transforms_equal_pad_then_dct(rng, lead, M, Q):
+    coeffs = rng.standard_normal(lead + (M + 1,))
+    kept = coeffs.copy()
+    grid = spectral.synthesize_many(coeffs, Q)
+    assert np.array_equal(grid, _synthesize_reference(kept, Q))
+    assert np.array_equal(coeffs, kept)
+    strided = rng.standard_normal(lead + (2 * (M + 1),))[..., ::2]
+    assert np.array_equal(spectral.synthesize_many(strided, Q), _synthesize_reference(strided, Q))
+
+    values = rng.standard_normal(lead + (Q,))
+    expect = _analyze_reference(values.copy(), M)
+    kept = values.copy()
+    assert np.array_equal(spectral.analyze_many(values, M), expect)
+    assert np.array_equal(values, kept)  # overwrite=False leaves the input alone
+    assert np.array_equal(spectral.analyze_many(values, M, overwrite=True), expect)
 
 
 def test_seminorm_values():
