@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Run every example config and print the sha256 of each artifact it writes.
+
+One ``<sha256>  <kind>/<artifact>`` line per artifact goes to stdout, sorted
+by name.  ``manifest.json`` records wall-clock fields and is not among the
+outputs it lists, so it is left out.  Each run's wall time goes to stderr.
+Checking that a change keeps every artifact byte-identical is then one diff:
+
+    PYTHONPATH=src python scripts/artifact_digests.py > after.txt
+    diff before.txt after.txt
+"""
+
+import argparse
+import glob
+import hashlib
+import os
+import sys
+import tempfile
+import time
+
+from chcsim import runner
+from chcsim.config import parse_config
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+
+def digests(config_dir: str) -> list[str]:
+    lines = []
+    with tempfile.TemporaryDirectory() as out:
+        for path in sorted(glob.glob(os.path.join(config_dir, "*.cfg"))):
+            cfg = parse_config(path)
+            t0 = time.perf_counter()
+            manifest = runner.run(cfg, override_out=out)
+            print(f"{os.path.basename(path)}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+            for name in manifest.outputs:
+                with open(os.path.join(manifest.directory, name), "rb") as fh:
+                    lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {cfg.kind}/{name}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--configs", default=CONFIGS, help="directory of *.cfg files")
+    args = ap.parse_args()
+    print("\n".join(digests(args.configs)))
+
+
+if __name__ == "__main__":
+    main()

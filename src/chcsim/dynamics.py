@@ -13,9 +13,13 @@ in floating point.
 Every integration runs one step kernel over a (rows, M+1) batch in which each
 noise stream drives one row (paths, ensembles) or two stacked rows (pairs,
 coupled pairs).  A step tests the grid sup-norm against the guard per noise
-row and books the budget sums (trapezoid / left-point rule, as the
-energy-budget checks consume them) and control sums for accepted substeps
-only.  Callers pick an optional band drift shift with its Girsanov sums
+row and books its sums for accepted substeps only.  Budget sums (trapezoid /
+left-point rule, as the energy-budget checks consume them) are booked only
+when the caller asks: ``simulate`` and ``simulate_many`` do by default and
+take ``record_budgets=False`` to skip them, ``run_ensemble`` takes
+``record_budgets=True``.  A path integrated without them carries NaN budget
+fields.  Budget sums never feed back into the step, so states are the same
+either way.  Callers pick an optional band drift shift with its Girsanov sums
 (``coupling``), a save-grid recorder, and a stiff-step policy:
 
 * paths and pairs (``simulate``, ``simulate_many``, ``simulate_pair``,
@@ -171,6 +175,8 @@ class Engine:
         self.Q = cfg.grid_size
         self.alpha = spectral.eigenvalues(cfg.M)
         self.alpha_sq = self.alpha**2
+        # the seminorm weights of |X|_1^2 and |X|_2^2, as seminorm_sq_many forms them
+        self.h_weights = (self.alpha[1:] ** 1.0, self.alpha[1:] ** 2.0)
         self.active = cfg.cov.active_modes
         self.sqrt_b_active = np.sqrt(cfg.cov.b[self.active])
         self.inv_alpha = np.zeros(cfg.M + 1)
@@ -201,9 +207,9 @@ class Engine:
             potential.nonlinearity_grid(grids, self.cfg.potential), self.cfg.M, overwrite=True
         )
 
-    def scatter_noise(self, xi: np.ndarray, dt: float, out_shape) -> np.ndarray:
-        """Scaled increments (variance b_k dt) from standard normals on the band."""
-        out = np.zeros(out_shape)
+    def scatter_noise(self, xi: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+        """Scaled increments (variance b_k dt) from standard normals on the band,
+        written into the active columns of out; its other columns must be zero."""
         if self.active.size:
             out[..., self.active] = xi * (self.sqrt_b_active * math.sqrt(dt))
         return out
@@ -221,19 +227,21 @@ class Engine:
 
     def h_integrands(self, states: np.ndarray, grids: np.ndarray | None):
         """(|X|_1^2, |X|_2^2, gradient functional integrand) for each row."""
-        h1 = spectral.seminorm_sq_many(states, 1.0)
-        h2 = spectral.seminorm_sq_many(states, 2.0)
+        sq = states[..., 1:] ** 2
+        h1, h2 = (np.einsum("...k,k->...", sq, w) for w in self.h_weights)
         if self.grad_mat is None or grids is None:
-            gg = np.zeros_like(np.asarray(h1))
+            gg = np.zeros_like(h1)
         else:
             # einsum, not BLAS: a row's value must not depend on its batch size
             grad = np.einsum("...k,kq->...q", states[..., 1:], self.grad_mat)
             u2 = grids * grids
-            n = self.cfg.potential.n
             power_sum = np.ones_like(u2)
-            for _ in range(n):
-                power_sum = 1.0 + u2 * power_sum
-            gg = 2.0 * np.mean(grad * grad * power_sum, axis=-1)
+            for _ in range(self.cfg.potential.n):  # 1 + u2 * power_sum
+                power_sum *= u2
+                power_sum += 1.0
+            grad *= grad
+            grad *= power_sum
+            gg = 2.0 * np.mean(grad, axis=-1)
         return h1, h2, gg
 
     def mart_weights(self, states: np.ndarray, eta: np.ndarray):
@@ -338,8 +346,9 @@ class _Kernel:
             grids = self.start(states, lo)
             h = eng.h_integrands(states, grids) if self.budgets else None
             record(span, 0, states)
+            eta = np.zeros((hi - lo, cfg.M + 1))  # only the band columns change
             for step, xi in enumerate(normals, 1):
-                eta = eng.scatter_noise(xi, cfg.dt, (hi - lo, cfg.M + 1))
+                eng.scatter_noise(xi, cfg.dt, eta)
                 states, grids, h = self.substep(span, states, grids, h, eta, cfg.dt, step)
                 record(span, step, states)
             final[:, span] = states.reshape(self.copies, hi - lo, -1)
@@ -437,7 +446,8 @@ class _Kernel:
             )
         self.retries[rows] += 1
         xi = np.array([self._bridge(int(r)).standard_normal(self.eng.active.size) for r in rows])
-        half = 0.5 * eta + 0.5 * math.sqrt(dt) * self.eng.scatter_noise(xi, 1.0, eta.shape)
+        bridge = self.eng.scatter_noise(xi, 1.0, np.zeros(eta.shape))
+        half = 0.5 * eta + 0.5 * math.sqrt(dt) * bridge
         sub_h = None if h is None else tuple(a[sub] for a in h)
         mid = self.substep(rows, states[sub], grids[sub], sub_h, half, 0.5 * dt, step, depth + 1)
         return self.substep(rows, *mid, eta - half, 0.5 * dt, step, depth + 1)
@@ -503,27 +513,32 @@ def _trajectory(cfg: SimConfig, states: np.ndarray, sums: dict, retries: int) ->
     )
 
 
-def simulate_many(x_list, cfg: SimConfig, *, threads: int = 1) -> list[Trajectory]:
+def simulate_many(
+    x_list, cfg: SimConfig, *, threads: int = 1, record_budgets: bool = True
+) -> list[Trajectory]:
     """Integrate several starts as one batch; start i draws from stream (seed, i).
 
     Trajectory i equals ``simulate`` of start i on stream i bit for bit,
-    stiff retries included, for any thread count.
+    stiff retries included, for any thread count.  With record_budgets=False
+    the budget sums are not booked and the budget fields are NaN; states,
+    observables and retries are unchanged.
     """
     starts = _tile_starts(np.stack([_as_state_array(x, cfg.M) for x in x_list]), cfg, len(x_list))
-    kern, saved, _ = _run_paths(cfg, starts[None], threads=threads, budgets=True)
+    kern, saved, _ = _run_paths(cfg, starts[None], threads=threads, budgets=record_budgets)
     return [
         _trajectory(cfg, saved[0, r], {k: v[r] for k, v in kern.sums.items()}, kern.retries[r])
         for r in range(starts.shape[0])
     ]
 
 
-def simulate(x0: ModeVector, cfg: SimConfig) -> Trajectory:
+def simulate(x0: ModeVector, cfg: SimConfig, *, record_budgets: bool = True) -> Trajectory:
     """Integrate one trajectory and record observables on the save grid.
 
     The noise stream is the replica-0 stream of cfg.seed, so a single run
-    reproduces member 0 of an ensemble with the same config.
+    reproduces member 0 of an ensemble with the same config.  Pass
+    record_budgets=False when the ``ito_budget_*`` sums will not be read.
     """
-    return simulate_many([x0], cfg)[0]
+    return simulate_many([x0], cfg, record_budgets=record_budgets)[0]
 
 
 def step(v: ModeVector, dW: ModeVector, cfg: SimConfig) -> ModeVector:

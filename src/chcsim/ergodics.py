@@ -182,7 +182,7 @@ def uniqueness_evidence(
     averages = np.empty((len(x_list), len(phi_list)))
     cis = np.empty_like(averages)
     labels = []
-    trajs = dynamics.simulate_many(x_list, cfg, threads=threads)
+    trajs = dynamics.simulate_many(x_list, cfg, threads=threads, record_budgets=False)
     for i, (x0, traj) in enumerate(zip(x_list, trajs)):
         labels.append(f"start{i}|x|={spectral.norm(x0, -1.0):.3g}")
         for j, phi in enumerate(phi_list):

@@ -144,7 +144,7 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
     phis = tuple(build_observable(s) for s in cfg.observables)
 
     if cfg.kind == "simulate":
-        traj = dynamics.simulate(states[0], sim)
+        traj = dynamics.simulate(states[0], sim, record_budgets=False)
         _write_trajectory_csv(emit("trajectory.csv"), traj)
         if cfg.save_states:
             _write_snapshots(emit("snapshots.json"), traj)

@@ -330,3 +330,83 @@ def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
     # two copies: noise row r is state rows r and r + 2
     pair = dynamics._Kernel(cfg, 2, copies=2)
     assert np.array_equal(pair.sup_ok(grids), [ok[0] and ok[2], False])
+
+
+@pytest.mark.parametrize("forced_retries", [(), (3, 10)])
+def test_paths_without_budgets_equal_paths_with_budgets(monkeypatch, forced_retries):
+    # the guard rejects row 0 at the listed sup_ok calls of each run (call 1
+    # tests the start), so both runs take the same bridged retries
+    cfg = make_cfg(M=16, dt=1e-3, T=0.03, cov=standard_cov(16), seed=41, save_every=10)
+    starts = [perturbed_state(cfg, 0.5, slot=s) for s in range(2)]
+    sup_ok, calls = dynamics._Kernel.sup_ok, []
+
+    def guard(self, grids):
+        calls.append(None)
+        ok = sup_ok(self, grids)
+        if len(calls) in forced_retries:
+            ok[0] = False
+        return ok
+
+    monkeypatch.setattr(dynamics._Kernel, "sup_ok", guard)
+    runs = []
+    for record_budgets in (True, False):
+        calls.clear()
+        runs.append(dynamics.simulate_many(starts, cfg, record_budgets=record_budgets))
+    booked, bare = runs
+    assert (booked[0].stiff_retries > 0) == bool(forced_retries)
+    for a, b in zip(booked, bare):
+        assert a.stiff_retries == b.stiff_retries
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+        assert a.observables.keys() == b.observables.keys()
+        for name, values in a.observables.items():
+            assert np.array_equal(b.observables[name], values)
+        for name in dynamics.BUDGET_KEYS:
+            assert math.isfinite(getattr(a, name)) and math.isnan(getattr(b, name))
+        dynamics.ito_budget_m1(a, cfg)
+        with pytest.raises(ValueError):
+            dynamics.ito_budget_m1(b, cfg)
+        with pytest.raises(ValueError):
+            dynamics.ito_budget_0(b, cfg)
+
+
+def test_scatter_noise_overwrites_band_columns_only(rng):
+    cfg = make_cfg(M=8, cov=band_cov(8, [(1, 1.0), (3, 0.5)], 1))
+    eng = dynamics.Engine(cfg)
+    assert eng.active.tolist() == [1, 3]
+    out = np.zeros((4, cfg.M + 1))
+    for _ in range(2):
+        xi = rng.standard_normal((4, 2))
+        fresh = np.zeros((4, cfg.M + 1))
+        fresh[..., eng.active] = xi * (eng.sqrt_b_active * math.sqrt(cfg.dt))
+        assert eng.scatter_noise(xi, cfg.dt, out) is out
+        assert np.array_equal(out, fresh)
+
+
+def test_gapped_band_ensemble_ignores_threads_and_matches_simulate():
+    # noise on modes 1 and 3 only: the band columns are not a contiguous slice
+    cfg = make_cfg(M=8, dt=1e-3, T=0.05, cov=band_cov(8, [(1, 1.0), (3, 0.5)], 1), seed=23)
+    x0 = perturbed_state(cfg, 0.3)
+    runs = [dynamics.run_ensemble(x0, cfg, 5, record_budgets=True, threads=t) for t in (1, 3)]
+    assert np.array_equal(runs[0].final, runs[1].final)
+    path = dynamics.simulate(x0, cfg)
+    assert np.array_equal(runs[0].final[0], path.states[-1])
+    for name in dynamics.BUDGET_KEYS:
+        assert np.array_equal(runs[0].budgets[name], runs[1].budgets[name])
+        assert runs[0].budgets[name][0] == getattr(path, name)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_h_integrands_equal_seminorms_and_the_plain_formula(rng, n):
+    cfg = make_cfg(M=16, n=n)
+    eng = dynamics.Engine(cfg)
+    states = 0.1 * rng.standard_normal((5, cfg.M + 1))
+    grids = eng.grid(states)
+    h1, h2, gg = eng.h_integrands(states, grids)
+    assert np.array_equal(h1, spectral.seminorm_sq_many(states, 1.0))
+    assert np.array_equal(h2, spectral.seminorm_sq_many(states, 2.0))
+    grad = np.einsum("...k,kq->...q", states[..., 1:], eng.grad_mat)
+    u2 = grids * grids
+    power_sum = np.ones_like(u2)
+    for _ in range(n):
+        power_sum = 1.0 + u2 * power_sum
+    assert np.array_equal(gg, 2.0 * np.mean(grad * grad * power_sum, axis=-1))
