@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from chcsim import dynamics, noise, runner
+from chcsim import dynamics, kinds, noise
 from chcsim.noise import CovarianceSpec
 from chcsim.potential import PotentialSpec
 from chcsim.dynamics import SimConfig
@@ -49,7 +49,7 @@ def main():
         )
         print(f"{k:>4} {em:>12.3e} {law.mean[k]:>12.3e} {ev:>12.3e} {law.var[k]:>12.3e} {z:>8.2f}")
 
-    ks = runner.ks_normal(res.final[:, 1], law.mean[1], math.sqrt(law.var[1]))
+    ks = kinds.ks_normal(res.final[:, 1], law.mean[1], math.sqrt(law.var[1]))
     print(f"KS(mode 1 vs exact Gaussian) = {ks:.4f}  (target < 0.02)")
 
 

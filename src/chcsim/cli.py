@@ -14,9 +14,10 @@ import dataclasses
 import sys
 
 from . import runner
-from .config import KINDS, ConfigError, parse_config
+from .config import parse_config
 from .dynamics import StiffEventError
-from .errors import CheckFailure
+from .errors import CheckFailure, ConfigError
+from .kinds import KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,11 +71,6 @@ def main(argv=None) -> int:
             )
         if args.threads is not None:
             cfg = dataclasses.replace(cfg, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         manifest = runner.run(cfg, override_out=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ keys for lists (`b`, `t`, `x0`, `observable`, `sweep_n`).  Flat text was
 chosen over nested formats so experiment sweeps diff line by line.
 
 parse_config resolves every default and validates invariants with
-field-path diagnostics; emit_config writes the resolved form back, and
+field-path diagnostics, the kind's own requirements taken from its entry in
+``kinds.KINDS``; emit_config writes the resolved form back, and
 parse(emit(cfg)) == cfg holds exactly.
 """
 
@@ -20,22 +21,12 @@ import numpy as np
 from . import noise as noise_mod
 from . import observables as obs_mod
 from .dynamics import SimConfig
+from .errors import ConfigError
+from .kinds import KINDS
 from .noise import CovarianceSpec
 from .observables import ObservableSpec
 from .potential import PotentialSpec
 from .spectral import ModeVector
-
-KINDS = (
-    "simulate",
-    "pair",
-    "couple",
-    "girsanov",
-    "asf",
-    "ergodic",
-    "irreducibility",
-    "nsweep",
-    "lintest",
-)
 
 THREADS_ENV = "CHC_SIM_THREADS"
 
@@ -64,10 +55,6 @@ _KNOWN_KEYS = _LIST_KEYS | {
     "threads",
     "save_states",
 }
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; message carries the offending field path."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +240,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         threads=_to_int("threads", single.get("threads", threads_default)),
         save_states=_to_bool("save_states", single.get("save_states", "false")),
     )
-    _validate_kind(cfg)
+    for need in KINDS[kind].needs:
+        if not need.ok(cfg):
+            _fail(need.field, f"kind {kind} {need.message}")
     return cfg
 
 
@@ -265,31 +254,6 @@ def parse_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     return parse_config_text(text)
-
-
-def _validate_kind(cfg: ExperimentConfig):
-    kind = cfg.kind
-    if kind in ("pair", "couple", "girsanov", "asf") and cfg.y0 is None:
-        _fail("y0", f"kind {kind} needs a second initial state")
-    if kind in ("couple", "girsanov", "asf") and cfg.band < 0:
-        _fail("N", "coupling kinds need a band")
-    if kind in ("girsanov", "asf", "irreducibility", "nsweep", "lintest") and cfg.replicas < 2:
-        _fail("replicas", f"kind {kind} needs at least 2 replicas")
-    if kind == "asf" and not cfg.times:
-        _fail("t", "asf needs at least one evaluation time")
-    if kind == "ergodic" and len(cfg.x0) < 2:
-        _fail("x0", "ergodic needs at least two starts (repeat the x0 key)")
-    if kind == "nsweep":
-        if len(cfg.sweep_n) < 2:
-            _fail("sweep_n", "nsweep needs at least two truncation orders")
-        if not cfg.times:
-            _fail("t", "nsweep needs an evaluation time")
-        if not cfg.sim.potential.is_truncated:
-            _fail("potential", "nsweep sweeps the truncated potential; set potential = poly")
-    if kind == "irreducibility" and not cfg.times:
-        _fail("t", "irreducibility needs an evaluation time")
-    if kind == "lintest" and cfg.sim.potential.active:
-        _fail("potential", "lintest drives the linear oracle; set potential = off")
 
 
 def validate_state_spec(field: str, spec: str):

@@ -122,17 +122,6 @@ def control_gain(cov: CovarianceSpec, lam: float, N: int | None = None) -> float
     return 0.5 * abs(lam) * float(np.max(alpha_band**1.5 / sqrt_b))
 
 
-def control_gain_low(cov: CovarianceSpec, lam: float, N: int | None = None) -> float:
-    """Per-mode gain (lam/2) max_{k<=N} alpha_k / sqrt(b_k): bounds |w|_0 by
-    the L^2 size of the low-mode difference only; reported for diagnostics."""
-    if N is None:
-        N = cov.band
-    if N == 0 or lam == 0.0:
-        return 0.0
-    alpha_band, sqrt_b = _band_arrays(cov, N)
-    return 0.5 * abs(lam) * float(np.max(alpha_band / sqrt_b))
-
-
 def girsanov_bound(dist0: float, kappa: float, delta: float) -> float:
     """Bound on E|1 - exp(G(T))| from the control tail integral:
 
@@ -162,10 +151,6 @@ class CouplingRecord:
             raise ValueError("control integral must be non-decreasing")
         if np.any(self.dist_m1 < 0):
             raise ValueError("distances must be nonnegative")
-
-    @property
-    def terminal_weight(self) -> float:
-        return float(np.exp(self.log_weight[-1]))
 
     def decay_envelope(self, tol: float = CONTRACTION_TOL) -> np.ndarray:
         return self.dist_m1[0] * np.exp(-self.rate.operational * self.times) * (1.0 + tol)

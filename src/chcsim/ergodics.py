@@ -12,14 +12,13 @@ assumption is unmet and the report says so instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.special
 
-from . import dynamics, noise, observables, spectral
+from . import dynamics, observables, spectral
 from .dynamics import SimConfig, Trajectory
-from .noise import CovarianceSpec
 from .observables import ObservableSpec
 from .potential import PotentialSpec
 from .spectral import ModeVector
@@ -37,9 +36,6 @@ class TimeAverage:
 
     mean: float
     ci: float
-
-    def agrees_with(self, other: "TimeAverage") -> bool:
-        return abs(self.mean - other.mean) <= self.ci + other.ci
 
 
 def time_average(traj: Trajectory, phi: ObservableSpec, burn_in: float) -> TimeAverage:
@@ -232,10 +228,6 @@ class ExitProbe:
     hits: int
     replicas: int
 
-    @property
-    def reachable(self) -> bool:
-        return self.lower95 > 0.0
-
 
 def exit_probability(
     x0: ModeVector,
@@ -267,31 +259,6 @@ def exit_probability(
         hits=hits,
         replicas=replicas,
     )
-
-
-def linear_ball_probability(
-    x0: ModeVector,
-    t: float,
-    cov: CovarianceSpec,
-    radius: float,
-    samples: int,
-    rng: np.random.Generator,
-    batch: int = 100_000,
-) -> tuple[float, float]:
-    """Mode-space oracle for the linear dynamics: sample the exact Gaussian
-    law at time t and count the ball hits.  Returns (estimate, se)."""
-    law = noise.linear_law(x0, t, cov)
-    hits = 0
-    done = 0
-    r_sq = radius * radius
-    while done < samples:
-        m = min(batch, samples - done)
-        z = law.sample_many(m, rng)
-        z[:, 0] -= x0.mean
-        hits += int(np.sum(spectral.seminorm_sq_many(z, -1.0) <= r_sq))
-        done += m
-    p = hits / samples
-    return p, math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
 
 
 @dataclass(frozen=True)
@@ -328,11 +295,7 @@ class TruncationSweep:
         return {
             "t": self.t,
             "rows": {
-                name: [
-                    {"n": r.n, "mean": r.mean, "se": r.se, "failed": r.failed}
-                    for r in rows
-                ]
-                for name, rows in self.rows.items()
+                name: [asdict(r) for r in rows] for name, rows in self.rows.items()
             },
         }
 

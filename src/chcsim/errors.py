@@ -1,4 +1,8 @@
-"""Shared exception types for in-run checks."""
+"""Shared exception types: configuration errors and failed in-run checks."""
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; message carries the offending field path."""
 
 
 class CheckFailure(RuntimeError):

@@ -1,0 +1,303 @@
+"""The experiment kinds: one table says what each needs, draws, writes and checks.
+
+``KINDS`` maps a kind name to its ``KindSpec``.  ``config`` validates a
+config against the entry's requirements, ``cli`` builds one subcommand per
+entry, and ``runner`` calls the entry's ``run`` and records its stream
+count.  Adding a kind means adding one entry (and its ``configs/<kind>.cfg``).
+
+A kind's ``run(cfg, states, y_state, phis, out)`` gets the built initial
+states ``x0[0], x0[1], ...``, the built ``y0`` (or None), the built
+observables, and ``out``, which writes an artifact into the run directory
+and lists it in the manifest.  It returns ``(checks, extra)``: the named
+in-run verdicts and any further manifest entries.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+import scipy.special
+
+from . import coupling, dynamics, ergodics, noise, observables, potential, spectral
+
+LIPSCHITZ_TOL = 0.05
+
+
+class Need(NamedTuple):
+    """One requirement on a config: the field it names, the test, the message."""
+
+    field: str
+    ok: Callable
+    message: str
+
+
+def _band_dominates(cfg) -> bool:
+    # the spectral-gap condition of coupling.contraction_rate
+    pot = cfg.sim.potential
+    return spectral.eigenvalue(cfg.band + 1) > (pot.lam if pot.active else 0.0)
+
+
+Y0 = Need("y0", lambda cfg: cfg.y0 is not None, "needs a second initial state")
+BAND = Need(
+    "N", _band_dominates, "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band"
+)
+EVAL_TIME = Need("t", lambda cfg: bool(cfg.times), "needs an evaluation time (a t line)")
+REPLICAS = Need("replicas", lambda cfg: cfg.replicas >= 2, "needs at least 2 replicas")
+STARTS = Need("x0", lambda cfg: len(cfg.x0) >= 2, "needs at least two starts (repeat the x0 key)")
+ORDERS = Need(
+    "sweep_n", lambda cfg: len(cfg.sweep_n) >= 2, "needs at least two truncation orders"
+)
+POLY = Need(
+    "potential",
+    lambda cfg: cfg.sim.potential.is_truncated,
+    "sweeps the truncated potential; set potential = poly",
+)
+OFF = Need(
+    "potential",
+    lambda cfg: not cfg.sim.potential.active,
+    "drives the linear oracle; set potential = off",
+)
+
+
+def one_stream(cfg) -> int:
+    return 1
+
+
+def stream_per_start(cfg) -> int:
+    return len(cfg.x0)
+
+
+def stream_per_replica(cfg) -> int:
+    return cfg.replicas
+
+
+@dataclasses.dataclass(frozen=True)
+class KindSpec:
+    """An experiment kind.
+
+    run:     (cfg, states, y_state, phis, out) -> (checks, extra).
+    streams: how many replica streams (seed, 0), (seed, 1), ... it draws.
+             Single paths, pairs and coupled pairs drive one; the ergodic
+             kind one per start; every ensemble kind one per replica,
+             reused across its starts, orders or paired runs.
+    needs:   requirements checked at parse time, in order.
+    """
+
+    run: Callable
+    streams: Callable = one_stream
+    needs: tuple = ()
+
+
+def _write_trajectory(out, name: str, traj: dynamics.Trajectory):
+    names = ["mean", "norm_m1", "norm_1", "sup", "energy"]
+    out.csv(name, ["t"] + names, [traj.times] + [traj.observables[n] for n in names])
+
+
+def _mass_ok(traj: dynamics.Trajectory) -> bool:
+    return bool(np.max(np.abs(traj.observables["mean"] - traj.config.c)) <= 1e-12)
+
+
+def _simulate(cfg, states, y_state, phis, out):
+    traj = dynamics.simulate(states[0], cfg.sim, record_budgets=False)
+    _write_trajectory(out, "trajectory.csv", traj)
+    if cfg.save_states:
+        out.json(
+            "snapshots.json",
+            {
+                "M": traj.config.M,
+                "times": [float(t) for t in traj.times],
+                "coeffs": [[float(v) for v in row] for row in traj.states],
+            },
+        )
+    return {"mass_conservation": _mass_ok(traj)}, {}
+
+
+def _pair(cfg, states, y_state, phis, out):
+    sim = cfg.sim
+    traj_x, traj_y, dist = dynamics.simulate_pair(states[0], y_state, sim)
+    lam = sim.potential.lam if sim.potential.active else 0.0
+    envelope = dist[0] * np.exp(lam * traj_x.times) * (1.0 + LIPSCHITZ_TOL)
+    out.csv("distance.csv", ["t", "dist_m1", "growth_envelope"], [traj_x.times, dist, envelope])
+    _write_trajectory(out, "trajectory_x.csv", traj_x)
+    _write_trajectory(out, "trajectory_y.csv", traj_y)
+    checks = {
+        "mass_conservation": _mass_ok(traj_x) and _mass_ok(traj_y),
+        "lipschitz_growth": bool(np.all(dist <= envelope + 1e-300)),
+    }
+    return checks, {}
+
+
+def _couple(cfg, states, y_state, phis, out):
+    record = coupling.simulate_coupled(states[0], y_state, cfg.sim, cfg.band, check=False)
+    out.csv(
+        "coupling.csv",
+        ["t", "dist_m1", "control_sq_integral", "log_weight"],
+        [record.times, record.dist_m1, record.control_sq_integral, record.log_weight],
+    )
+    envelope = record.decay_envelope(coupling.CONTRACTION_TOL)
+    fitted = record.fitted_rate()
+    checks = {
+        "contraction_pathwise": bool(np.all(record.dist_m1 <= envelope + 1e-300)),
+        "fitted_rate": bool(fitted >= 0.9 * record.rate.operational),
+    }
+    return checks, {"rates": {**record.rate._asdict(), "fitted": fitted, "kappa": record.kappa}}
+
+
+def _girsanov(cfg, states, y_state, phis, out):
+    gg = coupling.girsanov_gap(
+        states[0], y_state, cfg.sim, cfg.band, cfg.replicas, threads=cfg.threads
+    )
+    out.json("girsanov.json", dataclasses.asdict(gg))
+    checks = {
+        "martingale_unit_mean": bool(
+            abs(gg.martingale_mean - 1.0) <= 3.0 * gg.martingale_se + 1e-12
+        ),
+        "gap_below_bound": bool(gg.estimate <= gg.bound + 3.0 * gg.se),
+    }
+    return checks, {}
+
+
+def _asf(cfg, states, y_state, phis, out):
+    phi = phis[0] if phis else observables.tanh_mode(1)
+    rows = coupling.asf_estimate(
+        phi, states[0], y_state, cfg.times, cfg.sim, cfg.band, cfg.replicas,
+        threads=cfg.threads,
+    )
+    out.json("asf.json", {"observable": phi.name, "rows": [dataclasses.asdict(r) for r in rows]})
+    return {"smoothing_bound": all(r.lhs <= r.bound + 3.0 * r.se for r in rows)}, {}
+
+
+def _ergodic(cfg, states, y_state, phis, out):
+    phi_list = phis or (
+        observables.seminorm_sq(-1.0),
+        observables.mode_moment(1, 2),
+        observables.energy(),
+    )
+    report = ergodics.uniqueness_evidence(
+        states, phi_list, cfg.sim, N=cfg.band, burn_in=cfg.burn_in, threads=cfg.threads
+    )
+    out.json("ergodic.json", report.to_dict())
+    out.text("ergodic.txt", report.render_text() + "\n")
+    return {"start_independence": report.consistent is not False}, {}
+
+
+def _irreducibility(cfg, states, y_state, phis, out):
+    t_eval = cfg.times[0]
+    rows = []
+    for label, x0 in zip(cfg.x0, states):
+        probe = ergodics.exit_probability(
+            x0, cfg.radius, t_eval, cfg.sim, cfg.replicas, threads=cfg.threads
+        )
+        rows.append({"start": label, **dataclasses.asdict(probe)})
+    out.json("irreducibility.json", {"t": t_eval, "radius": cfg.radius, "rows": rows})
+    return {"reachable_from_all_starts": all(r["lower95"] > 0.0 for r in rows)}, {}
+
+
+def _nsweep(cfg, states, y_state, phis, out):
+    phi_list = phis or (observables.seminorm(-1.0),)
+    sweep = ergodics.truncation_sweep(
+        states[0], cfg.sweep_n, phi_list, cfg.times[0], cfg.sim, cfg.replicas,
+        threads=cfg.threads,
+    )
+    out.json("nsweep.json", sweep.to_dict())
+    rows = sweep.rows[phi_list[0].name]
+    fields = ["n", "mean", "se", "failed"]
+    out.csv("nsweep.csv", fields, [np.array([getattr(r, f) for r in rows]) for f in fields])
+    checks = {
+        "cauchy_decreasing": all(sweep.monotone_decreasing(p.name) for p in phi_list),
+        "limit_within_se": all(sweep.last_within_se(p.name) for p in phi_list),
+    }
+    return checks, {}
+
+
+def ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of a sample from N(mean, sd^2).
+
+    D = max(D+, D-) over the sorted sample, with the arithmetic of
+    ``scipy.stats.kstest`` against ``norm(mean, sd).cdf``, whose import this
+    spares every run.
+    """
+    x = np.sort(sample)
+    cdf = scipy.special.ndtr((x - mean) / sd)
+    n = x.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
+
+
+def _lintest(cfg, states, y_state, phis, out):
+    """Linear-oracle suite: ensemble vs the exact Gaussian law at T."""
+    sim, x0, R = cfg.sim, states[0], cfg.replicas
+    res = dynamics.run_ensemble(x0, sim, R, record_norm_path=True, threads=cfg.threads)
+    law = noise.linear_law(x0, sim.horizon, sim.cov)
+
+    emp_mean = res.final.mean(axis=0)
+    emp_var = res.final.var(axis=0, ddof=1)
+    # tolerance = 3 sigma of the Monte Carlo estimator plus the known
+    # O(dt alpha^2) bias of the semi-implicit scheme at this step size
+    alpha_sq = spectral.eigenvalues(sim.M) ** 2
+    mean_bias = np.abs(law.mean) * np.expm1(
+        np.minimum(sim.steps * (0.5 * sim.dt * alpha_sq) ** 2 / 2.0, 50.0)
+    )
+    mean_bias[0] = 0.0
+    mean_tol = 3.0 * np.sqrt(law.var / R) + mean_bias + 1e-9
+    noisy = law.var > 0
+    var_bias = law.var[noisy] * 0.25 * sim.dt * alpha_sq[noisy]
+    var_tol = 3.0 * law.var[noisy] * math.sqrt(2.0 / (R - 1)) + var_bias
+
+    active = sim.cov.active_modes
+    k_probe = int(active[0]) if active.size else 1
+    if law.var[k_probe] > 0:
+        ks = ks_normal(res.final[:, k_probe], law.mean[k_probe], math.sqrt(law.var[k_probe]))
+    else:
+        ks = 0.0
+
+    # ensemble second-moment curve with its dissipation-budget envelope
+    q = potential.budget_rate(0.0, sim.c, noise.trace_gamma(sim.cov, -1.0))
+    pi4 = spectral.eigenvalue(1) ** 2
+    x_sq = float(spectral.seminorm_sq_many(np.asarray(x0.coeffs), -1.0))
+    mean_curve = res.norm_m1_sq.mean(axis=0)
+    se_curve = res.norm_m1_sq.std(axis=0, ddof=1) / math.sqrt(R)
+    envelope = (x_sq - q / pi4) * np.exp(-pi4 * res.times) + q / pi4
+
+    out.csv(
+        "ensemble_norm.csv",
+        ["t", "mean_norm_m1_sq", "se", "gronwall_envelope"],
+        [res.times, mean_curve, se_curve, envelope],
+    )
+    out.json(
+        "lintest.json",
+        {
+            "replicas": R,
+            "ks_mode": k_probe,
+            "ks_statistic": float(ks),
+            "mode_mean_abs_err": np.abs(emp_mean - law.mean).tolist(),
+            "mode_var": emp_var.tolist(),
+            "law_var": law.var.tolist(),
+        },
+    )
+    checks = {
+        "per_mode_means": bool(np.all(np.abs(emp_mean - law.mean) <= mean_tol)),
+        "per_mode_variances": bool(
+            np.all(np.abs(emp_var[noisy] - law.var[noisy]) <= var_tol)
+        ),
+        "ks_mode_distribution": bool(ks < 0.02),
+        "gronwall_envelope": bool(np.all(mean_curve <= envelope + 3.0 * se_curve + 1e-12)),
+    }
+    return checks, {"ks": float(ks)}
+
+
+KINDS = {
+    "simulate": KindSpec(_simulate),
+    "pair": KindSpec(_pair, needs=(Y0,)),
+    "couple": KindSpec(_couple, needs=(Y0, BAND)),
+    "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS)),
+    "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, EVAL_TIME)),
+    "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS,)),
+    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, EVAL_TIME)),
+    "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, EVAL_TIME, POLY)),
+    "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF)),
+}

@@ -96,22 +96,8 @@ class CovarianceSpec:
     def zero(cls, M: int) -> "CovarianceSpec":
         return cls(np.zeros(M + 1), 0)
 
-    @classmethod
-    def from_pairs(cls, pairs, band: int, M: int) -> "CovarianceSpec":
-        b = np.zeros(M + 1)
-        for k, bk in pairs:
-            if not 0 <= k <= M:
-                raise ValueError(f"mode index {k} outside 0..{M}")
-            b[k] = bk
-        return cls(b, band)
-
     def to_pairs(self) -> list[tuple[int, float]]:
         return [(int(k), float(self.b[k])) for k in self.active_modes]
-
-    def paper_band_condition(self, lam: float) -> bool:
-        """Diagnostic check of the unit-normalized band inequality
-        (N+1)^2/2 - lam > 0; the operational condition lives in coupling."""
-        return 0.5 * (self.band + 1) ** 2 - lam > 0.0
 
 
 def trace_gamma(cov: CovarianceSpec, gamma: float) -> float:
@@ -121,21 +107,6 @@ def trace_gamma(cov: CovarianceSpec, gamma: float) -> float:
         return 0.0
     alpha = spectral.eigenvalues(cov.order)[active]
     return float(np.sum(cov.b[active] * alpha**gamma))
-
-
-def wiener_increment(cov: CovarianceSpec, dt: float, rng: np.random.Generator) -> ModeVector:
-    """One noise increment: independent N(0, b_k dt) per mode, mode 0 = 0.
-
-    Standard normals are drawn for the active modes in increasing k, the
-    draw order every driver in this package uses.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    out = np.zeros(cov.order + 1)
-    active = cov.active_modes
-    if active.size:
-        out[active] = rng.standard_normal(active.size) * np.sqrt(cov.b[active] * dt)
-    return ModeVector(out)
 
 
 @dataclass(frozen=True)

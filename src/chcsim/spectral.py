@@ -108,9 +108,6 @@ class ModeVector:
     def __sub__(self, other: "ModeVector") -> "ModeVector":
         return ModeVector(self.coeffs - other.coeffs)
 
-    def scaled(self, factor: float) -> "ModeVector":
-        return ModeVector(self.coeffs * factor)
-
 
 @dataclass(frozen=True)
 class GridVector:
@@ -204,30 +201,10 @@ def norm(v: ModeVector, gamma: float) -> float:
     return float(np.sqrt(seminorm_sq_many(v.coeffs, gamma) + v.mean**2))
 
 
-def apply_minusA_power(v: ModeVector, p: float) -> ModeVector:
-    """Apply the p-th power of the negated Laplacian, mean untouched.
-
-    Mode k >= 1 is multiplied by alpha_k^p; mode 0 passes through, the usual
-    convention making the operator invertible on mean-free fields.
-    """
-    out = v.coeffs.copy()
-    out[1:] *= eigenvalues(v.order)[1:] ** p
-    return ModeVector(out)
-
-
 def project_low(v: ModeVector, N: int) -> ModeVector:
     """Keep modes 0..N, zero the rest."""
     if not 0 <= N <= v.order:
         raise ValueError(f"band N={N} outside 0..{v.order}")
     out = np.zeros_like(v.coeffs)
     out[: N + 1] = v.coeffs[: N + 1]
-    return ModeVector(out)
-
-
-def project_high(v: ModeVector, N: int) -> ModeVector:
-    """Complement of :func:`project_low`: zero modes 0..N, keep the rest."""
-    if not 0 <= N <= v.order:
-        raise ValueError(f"band N={N} outside 0..{v.order}")
-    out = v.coeffs.copy()
-    out[: N + 1] = 0.0
     return ModeVector(out)

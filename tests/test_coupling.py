@@ -54,7 +54,6 @@ def test_control_gains():
     lam = 1.0
     a1, a2 = spectral.eigenvalue(1), spectral.eigenvalue(2)
     assert coupling.control_gain(cov, lam, 2) == pytest.approx(0.5 * a2**1.5)
-    assert coupling.control_gain_low(cov, lam, 2) == pytest.approx(0.5 * a2)
     assert coupling.control_gain(cov, 0.0, 2) == 0.0
     # control size against the gain, mode by mode
     y = ModeVector(np.array([0.0, 0.3, -0.2, 0.5, 0.0, 0, 0, 0, 0]))
@@ -71,7 +70,6 @@ def test_coupled_identical_starts():
     assert np.all(rec.dist_m1 == 0.0)
     assert np.all(rec.control_sq_integral == 0.0)
     assert np.all(rec.log_weight == 0.0)
-    assert rec.terminal_weight == 1.0
 
 
 def test_coupled_contraction_invariants():

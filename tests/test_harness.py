@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from chcsim import cli, runner
+from chcsim import cli, kinds, runner
 from chcsim.config import (
     ConfigError,
     build_observable,
@@ -17,6 +17,7 @@ from chcsim.config import (
     parse_config,
     parse_config_text,
 )
+from chcsim.kinds import BAND, KINDS
 
 MINIMAL = """
 kind = simulate
@@ -78,6 +79,70 @@ def test_kind_specific_validation():
         parse_config_text(MINIMAL.replace("kind = simulate", "kind = lintest") + "replicas = 10\n")
     with pytest.raises(ConfigError, match="x0"):
         parse_config_text(MINIMAL.replace("kind = simulate", "kind = ergodic"))
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+
+def example_text(kind):
+    with open(os.path.join(CONFIGS, f"{kind}.cfg"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _drop(text, key):
+    return "".join(
+        line for line in text.splitlines(keepends=True) if line.split("=")[0].strip() != key
+    )
+
+
+def _keep_first(text, key):
+    first = next(line for line in text.splitlines() if line.split("=")[0].strip() == key)
+    return _drop(text, key) + first + "\n"
+
+
+def _set(text, key, value):
+    return _drop(text, key) + f"{key} = {value}\n"
+
+
+# one edit per requirement field that breaks that requirement alone
+BREAK = {
+    "y0": lambda text: _drop(text, "y0"),
+    "N": lambda text: _set(_set(text, "lambda", "60"), "N", "0"),
+    "replicas": lambda text: _set(text, "replicas", "1"),
+    "t": lambda text: _drop(text, "t"),
+    "x0": lambda text: _keep_first(text, "x0"),
+    "sweep_n": lambda text: _keep_first(text, "sweep_n"),
+    "potential": lambda text: _set(text, "potential", "exact"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_example_config_per_kind_round_trips(kind):
+    # every kind has an example, so scripts/artifact_digests.py covers it
+    cfg = parse_config_text(example_text(kind))
+    assert cfg.kind == kind
+    assert parse_config_text(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(kind, need.field) for kind in sorted(KINDS) for need in KINDS[kind].needs]
+)
+def test_kind_requirement_rejected_with_field(kind, field):
+    text = example_text(kind)
+    parse_config_text(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(BREAK[field](text))
+    assert str(err.value).startswith(f"{field}: kind {kind} ")
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in KINDS if BAND in KINDS[k].needs))
+def test_cli_band_too_small_exits_2_without_run_directory(tmp_path, capsys, kind):
+    # alpha_1 = pi^2 < lambda = 60: the coupling cannot contract
+    path = write_cfg(tmp_path, BREAK["N"](example_text(kind)))
+    runs = tmp_path / "runs"
+    assert cli.main([kind, "--config", path, "--out", str(runs)]) == 2
+    assert "config error: N: " in capsys.readouterr().err
+    assert not runs.exists()
 
 
 def test_config_round_trip():
@@ -266,7 +331,7 @@ def test_ks_normal_equals_kstest(R):
     sample = 0.3 + 0.7 * rng.standard_normal(R)
     sample[: R // 10] = sample[R // 10 : R // 5]  # ties
     want = scipy.stats.kstest(sample, scipy.stats.norm(0.25, 0.7).cdf).statistic
-    assert runner.ks_normal(sample, 0.25, 0.7) == want
+    assert kinds.ks_normal(sample, 0.25, 0.7) == want
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -24,14 +24,10 @@ def test_covariance_validation():
 
 def test_covariance_pairs_roundtrip():
     cov = band_cov(8, [(1, 1.0), (2, 0.25)], 2)
-    back = CovarianceSpec.from_pairs(cov.to_pairs(), band=2, M=8)
-    assert back == cov
-
-
-def test_paper_band_condition():
-    cov = standard_cov(8)
-    assert cov.paper_band_condition(1.0)  # (2+1)^2/2 - 1 > 0
-    assert not cov.paper_band_condition(5.0)
+    b = np.zeros(9)
+    for k, bk in cov.to_pairs():
+        b[k] = bk
+    assert CovarianceSpec(b, 2) == cov
 
 
 def test_trace_values():
@@ -53,38 +49,6 @@ def test_trace_linear_and_monotone():
     assert noise.trace_gamma(b, -1.0) == pytest.approx(2 * noise.trace_gamma(a, -1.0))
     # alpha_k >= 1 for k >= 1, so the trace grows with gamma
     assert noise.trace_gamma(a, 1.0) >= noise.trace_gamma(a, 0.0) >= noise.trace_gamma(a, -1.0)
-
-
-def test_wiener_increment_basics():
-    cov = standard_cov(8)
-    rng = noise.stream(7, 0)
-    dw = noise.wiener_increment(cov, 1e-3, rng)
-    assert dw.coeffs[0] == 0.0
-    assert np.all(dw.coeffs[3:] == 0.0)  # b_k = 0 there
-    with pytest.raises(ValueError):
-        noise.wiener_increment(cov, 0.0, rng)
-
-
-def test_wiener_increment_deterministic():
-    cov = standard_cov(8)
-    a = noise.wiener_increment(cov, 1e-3, noise.stream(42, 5))
-    b = noise.wiener_increment(cov, 1e-3, noise.stream(42, 5))
-    assert np.array_equal(a.coeffs, b.coeffs)
-    c = noise.wiener_increment(cov, 1e-3, noise.stream(42, 6))
-    assert not np.array_equal(a.coeffs, c.coeffs)
-
-
-def test_wiener_increment_variance():
-    cov = standard_cov(8)
-    rng = noise.stream(99, 0)
-    dt = 0.01
-    draws = np.array(
-        [noise.wiener_increment(cov, dt, rng).coeffs[1] for _ in range(100_000)]
-    )
-    var = draws.var(ddof=1)
-    target = cov.b[1] * dt
-    tol = 3.0 * target * math.sqrt(2.0 / (draws.size - 1))
-    assert abs(var - target) <= tol
 
 
 def test_linear_law_trivia():
@@ -163,10 +127,9 @@ def test_sampler_matches_linear_law_at_moderate_time():
 
 
 def test_aux_streams_disjoint():
-    cov = standard_cov(8)
-    a = noise.wiener_increment(cov, 1.0, noise.aux_stream(5, 0))
-    b = noise.wiener_increment(cov, 1.0, noise.stream(5, 0))
-    assert not np.array_equal(a.coeffs, b.coeffs)
+    a = noise.aux_stream(5, 0).standard_normal(2)
+    b = noise.stream(5, 0).standard_normal(2)
+    assert not np.array_equal(a, b)
 
 
 def test_bridge_streams_have_their_own_key_range():
