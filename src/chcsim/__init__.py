@@ -24,4 +24,3 @@ from .coupling import (  # noqa: F401
     simulate_coupled,
 )
 from .ergodics import ErgodicReport, ObservableSpec, TimeAverage  # noqa: F401
-from .errors import CheckFailure  # noqa: F401

@@ -16,7 +16,7 @@ import sys
 from . import runner
 from .config import parse_config
 from .dynamics import StiffEventError
-from .errors import CheckFailure, ConfigError
+from .errors import ConfigError
 from .kinds import KINDS
 
 EXIT_OK = 0
@@ -78,9 +78,6 @@ def main(argv=None) -> int:
     except StiffEventError as exc:
         print(f"stiff event: {exc}", file=sys.stderr)
         return EXIT_STIFF
-    except CheckFailure as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
 
     for name, ok in manifest.checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")

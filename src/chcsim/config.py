@@ -13,6 +13,7 @@ parse(emit(cfg)) == cfg holds exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -88,9 +89,19 @@ def _to_int(field, raw):
 
 def _to_float(field, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _fail(field, f"expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        _fail(field, f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _to_mode(field, raw, first, M):
+    k = _to_int(field, raw)
+    if not first <= k <= M:
+        _fail(field, f"mode index {k} outside {first}..{M}")
+    return k
 
 
 def _to_bool(field, raw):
@@ -168,10 +179,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if ":" not in entry:
             _fail(field, f"expected 'mode:value', got {entry!r}")
         k_raw, _, v_raw = entry.partition(":")
-        k = _to_int(field, k_raw)
+        k = _to_mode(field, k_raw, 0, M)
         v = _to_float(field, v_raw)
-        if not 0 <= k <= M:
-            _fail(field, f"mode index {k} outside 0..{M}")
         if k == 0 and v != 0.0:
             _fail(field, "mean-conservation violated: b_0 must be 0")
         if v < 0:
@@ -215,13 +224,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     sweep_n = tuple(_to_int(f"sweep_n[{i}]", v) for i, v in enumerate(lists["sweep_n"]))
     x0 = tuple(lists["x0"]) or ("const",)
     for i, spec in enumerate(x0):
-        validate_state_spec(f"x0[{i}]", spec)
+        parse_state(spec, M, f"x0[{i}]")
     y0 = single.get("y0")
     if y0 is not None:
-        validate_state_spec("y0", y0)
+        parse_state(y0, M, "y0")
     observable = tuple(lists["observable"])
     for i, spec in enumerate(observable):
-        build_observable(spec, field=f"observable[{i}]")
+        build_observable(spec, M, f"observable[{i}]")
 
     threads_default = os.environ.get(THREADS_ENV, "1")
     cfg = ExperimentConfig(
@@ -256,72 +265,59 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def validate_state_spec(field: str, spec: str):
-    head, _, rest = spec.partition(":")
-    if head == "const":
-        return
+def parse_state(spec: str, M: int, field: str = "x0"):
+    """Read an initial-state spec: const, gaussian:S or modes:k=v,... (1 <= k <= M).
+
+    Returns (scale, kicks): the scale of a stationary Gaussian draw added to
+    c e_0 (None for no draw) and the (k, v) amounts added to modes k.
+    """
+    head, colon, rest = spec.partition(":")
+    if head == "const" and not colon:
+        return None, ()
     if head == "gaussian":
-        _to_float(field, rest or "1")
-        return
+        return _to_float(field, rest or "1"), ()
     if head == "modes":
         if not rest:
             _fail(field, "modes spec needs entries like modes:1=0.1,2=-0.05")
+        kicks = []
         for item in rest.split(","):
             if "=" not in item:
                 _fail(field, f"bad mode entry {item!r}")
             k_raw, _, v_raw = item.partition("=")
-            k = _to_int(field, k_raw)
-            if k < 1:
-                _fail(field, "mode entries start at 1 (mode 0 is the conserved mean)")
-            _to_float(field, v_raw)
-        return
+            kicks.append((_to_mode(field, k_raw, 1, M), _to_float(field, v_raw)))
+        return None, tuple(kicks)
     _fail(field, f"unknown initial-state spec {spec!r} (const, gaussian:S, modes:k=v,...)")
 
 
 def build_state(spec: str, sim: SimConfig, slot: int) -> ModeVector:
     """Materialize an initial-condition spec; random draws use an auxiliary
     stream keyed by (seed, slot) disjoint from all replica streams."""
-    head, _, rest = spec.partition(":")
-    base = ModeVector.constant(sim.c, sim.M)
-    if head == "const":
-        return base
-    if head == "gaussian":
-        scale = float(rest or "1")
+    scale, kicks = parse_state(spec, sim.M)
+    coeffs = ModeVector.constant(sim.c, sim.M).coeffs
+    if scale is not None:
         rng = noise_mod.aux_stream(sim.seed, slot)
         sample = noise_mod.sample_stationary_gaussian(sim.c, sim.cov, rng)
-        coeffs = base.coeffs.copy()
         coeffs[1:] += scale * sample.coeffs[1:]
-        return ModeVector(coeffs)
-    if head == "modes":
-        coeffs = base.coeffs.copy()
-        for item in rest.split(","):
-            k_raw, _, v_raw = item.partition("=")
-            coeffs[int(k_raw)] += float(v_raw)
-        return ModeVector(coeffs)
-    raise ConfigError(f"unknown initial-state spec {spec!r}")
+    for k, v in kicks:
+        coeffs[k] += v
+    return ModeVector(coeffs)
 
 
-def build_observable(spec: str, field: str = "observable") -> ObservableSpec:
-    parts = spec.split(":")
-    head = parts[0]
-    try:
-        if head == "mean":
-            return obs_mod.mean()
-        if head == "sup":
-            return obs_mod.sup_norm()
-        if head == "energy":
-            return obs_mod.energy()
-        if head == "seminorm":
-            return obs_mod.seminorm(float(parts[1]))
-        if head == "seminorm_sq":
-            return obs_mod.seminorm_sq(float(parts[1]))
-        if head == "mode":
-            return obs_mod.mode_moment(int(parts[1]), int(parts[2]))
-        if head == "tanh":
-            return obs_mod.tanh_mode(int(parts[1]))
-    except (IndexError, ValueError) as exc:
-        _fail(field, f"malformed observable spec {spec!r}: {exc}")
-    _fail(field, f"unknown observable {spec!r}")
+def build_observable(spec: str, M: int, field: str = "observable") -> ObservableSpec:
+    """The observable a spec names, looked up in ``observables.HEADS``."""
+    head, *raw = spec.split(":")
+    if head not in obs_mod.HEADS:
+        _fail(field, f"unknown observable {spec!r}; heads: {', '.join(obs_mod.HEADS)}")
+    factory, types = obs_mod.HEADS[head]
+    if len(raw) != len(types):
+        _fail(field, f"observable {head} takes {len(types)} ':' field(s), got {spec!r}")
+    args = []
+    for t, value in zip(types, raw):
+        if isinstance(t, obs_mod.Mode):
+            args.append(_to_mode(field, value, t.first, M))
+        else:
+            args.append(_to_int(field, value) if t is int else _to_float(field, value))
+    return factory(*args)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import noise, potential, spectral
+from . import noise, observables, potential, spectral
 from .noise import CovarianceSpec
 from .potential import PotentialSpec
 from .spectral import ModeVector
@@ -52,6 +52,14 @@ MEAN_TOL = 1e-9
 # per-row sums a kernel books; BUDGET_KEYS are also Trajectory fields
 BUDGET_KEYS = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
 CONTROL_KEYS = ("log_weight", "int_w_sq")
+# every trajectory's (column name, observable), in computed and written order
+TRAJECTORY_COLUMNS = (
+    ("mean", observables.mean()),
+    ("norm_m1", observables.seminorm(-1.0)),
+    ("norm_1", observables.seminorm(1.0)),
+    ("sup", observables.sup_norm()),
+    ("energy", observables.energy()),
+)
 
 
 class StiffEventError(RuntimeError):
@@ -309,18 +317,17 @@ class _Kernel:
     (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy 1 and
     books the Girsanov sums; retry selects the bridge policy over marking
     failures; budgets books the budget sums (one copy only).  sums, failed
-    and retries are per noise row; row r uses stream first_stream + r.
+    and retries are per noise row; row r uses stream r.
     """
 
     def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, retry: bool = False,
-                 band=None, budgets: bool = False, first_stream: int = 0):
+                 band=None, budgets: bool = False):
         self.cfg = cfg
         self.eng = Engine(cfg)
         self.copies = copies
         self.retry = retry
         self.band = band
         self.budgets = budgets
-        self.first_stream = first_stream
         keys = (BUDGET_KEYS if budgets else ()) + (CONTROL_KEYS if band is not None else ())
         self.sums = {k: np.zeros(rows) for k in keys}
         self.failed = np.full(rows, -1, dtype=np.int64)
@@ -340,8 +347,7 @@ class _Kernel:
 
         def span_run(lo, hi):
             span = slice(lo, hi)
-            ids = range(self.first_stream + lo, self.first_stream + hi)
-            normals = _noise_blocks(cfg.seed, ids, eng.active.size, cfg.steps)
+            normals = _noise_blocks(cfg.seed, range(lo, hi), eng.active.size, cfg.steps)
             states = starts[:, span].reshape(-1, cfg.M + 1)
             grids = self.start(states, lo)
             h = eng.h_integrands(states, grids) if self.budgets else None
@@ -454,7 +460,7 @@ class _Kernel:
 
     def _bridge(self, r: int) -> np.random.Generator:
         if r not in self._bridges:
-            self._bridges[r] = noise.bridge_stream(self.cfg.seed, self.first_stream + r)
+            self._bridges[r] = noise.bridge_stream(self.cfg.seed, r)
         return self._bridges[r]
 
     def raise_failures(self, what: str):
@@ -494,19 +500,14 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, **parts)
 
 
 def _trajectory(cfg: SimConfig, states: np.ndarray, sums: dict, retries: int) -> Trajectory:
-    observables = {
-        "mean": states[:, 0].copy(),
-        "norm_m1": np.sqrt(spectral.seminorm_sq_many(states, -1.0)),
-        "norm_1": np.sqrt(spectral.seminorm_sq_many(states, 1.0)),
-        "sup": np.max(np.abs(spectral.synthesize_many(states, cfg.grid_size)), axis=-1),
-        "energy": potential.free_energy_many(states, cfg.potential, cfg.grid_size),
-    }
-    if np.max(np.abs(observables["mean"] - cfg.c)) > 1e-12:
+    if np.max(np.abs(states[:, 0] - cfg.c)) > 1e-12:
         raise RuntimeError("mass conservation broken: mean drifted beyond 1e-12")
     return Trajectory(
         times=save_steps(cfg) * cfg.dt,
         states=states,
-        observables=observables,
+        observables={
+            name: observables.evaluate(spec, states, cfg) for name, spec in TRAJECTORY_COLUMNS
+        },
         config=cfg,
         stiff_retries=int(retries),
         **{key: float(sums.get(key, "nan")) for key in BUDGET_KEYS},
@@ -575,8 +576,7 @@ def ito_budget_m1(traj: Trajectory, cfg: SimConfig) -> EnergyBudget:
     bound = |x|_{-1}^2 + T * (Tr_{-1} + P_c(lam)); the dissipation integral
     and martingale were accumulated at every step during integration.
     """
-    lam = cfg.potential.lam if cfg.potential.active else 0.0
-    q = potential.budget_rate(lam, cfg.c, noise.trace_gamma(cfg.cov, -1.0))
+    q = potential.budget_rate(cfg.potential.lam, cfg.c, noise.trace_gamma(cfg.cov, -1.0))
     initial = float(spectral.seminorm_sq_many(traj.states[0], -1.0))
     terminal = float(spectral.seminorm_sq_many(traj.states[-1], -1.0))
     return EnergyBudget(
@@ -647,13 +647,12 @@ def run_ensemble(
     record_budgets: bool = False,
     snap_steps=(),
     threads: int = 1,
-    replica_base: int = 0,
     strict: bool = True,
 ) -> EnsembleResult:
     """Integrate `replicas` independent copies with per-replica noise streams.
 
     x0 is one ModeVector shared by all replicas or an (R, M+1) array of
-    per-replica starts.  Stream r is keyed by (cfg.seed, replica_base + r),
+    per-replica starts.  Stream r is keyed by (cfg.seed, r),
     so results are bit-identical for any thread count.  With strict=True a
     stiff replica aborts the run; otherwise it is surfaced in failed_step.
     """
@@ -672,7 +671,7 @@ def run_ensemble(
         if step in snapshots:
             snapshots[step][span] = states
 
-    kern = _Kernel(cfg, replicas, budgets=record_budgets, first_stream=replica_base)
+    kern = _Kernel(cfg, replicas, budgets=record_budgets)
     final = kern.run(starts[None], record, threads)
     if strict:
         kern.raise_failures("replica(s)")

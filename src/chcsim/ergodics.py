@@ -102,14 +102,6 @@ class ErgodicReport:
             return None
         return not self.violations
 
-    def discrepancy(self, obs_index: int) -> np.ndarray:
-        m = self.averages[:, obs_index]
-        return np.abs(m[:, None] - m[None, :])
-
-    def tolerance(self, obs_index: int) -> np.ndarray:
-        c = self.cis[:, obs_index]
-        return c[:, None] + c[None, :]
-
     def verdict(self) -> str:
         if not self.elliptic_ok:
             return "elliptic assumption unmet (no noise): start-independence not expected"

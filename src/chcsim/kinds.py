@@ -34,17 +34,23 @@ class Need(NamedTuple):
     message: str
 
 
-def _band_dominates(cfg) -> bool:
-    # the spectral-gap condition of coupling.contraction_rate
-    pot = cfg.sim.potential
-    return spectral.eigenvalue(cfg.band + 1) > (pot.lam if pot.active else 0.0)
+def _times_from_dt(cfg) -> bool:
+    return bool(cfg.times) and min(cfg.times) >= cfg.sim.dt
 
 
 Y0 = Need("y0", lambda cfg: cfg.y0 is not None, "needs a second initial state")
-BAND = Need(
-    "N", _band_dominates, "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band"
+BAND = Need(  # the spectral-gap condition of coupling.contraction_rate
+    "N",
+    lambda cfg: spectral.eigenvalue(cfg.band + 1) > cfg.sim.potential.lam,
+    "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band",
 )
-EVAL_TIME = Need("t", lambda cfg: bool(cfg.times), "needs an evaluation time (a t line)")
+EVAL_TIME = Need("t", _times_from_dt, "needs evaluation times t >= dt (t lines)")
+HORIZON_TIMES = Need(
+    "t",
+    lambda cfg: _times_from_dt(cfg) and max(cfg.times) <= cfg.sim.T,
+    "needs evaluation times dt <= t <= T (t lines)",
+)
+RADIUS = Need("radius", lambda cfg: cfg.radius > 0, "needs a positive radius")
 REPLICAS = Need("replicas", lambda cfg: cfg.replicas >= 2, "needs at least 2 replicas")
 STARTS = Need("x0", lambda cfg: len(cfg.x0) >= 2, "needs at least two starts (repeat the x0 key)")
 ORDERS = Need(
@@ -92,12 +98,12 @@ class KindSpec:
 
 
 def _write_trajectory(out, name: str, traj: dynamics.Trajectory):
-    names = ["mean", "norm_m1", "norm_1", "sup", "energy"]
+    names = [n for n, _ in dynamics.TRAJECTORY_COLUMNS]
     out.csv(name, ["t"] + names, [traj.times] + [traj.observables[n] for n in names])
 
 
 def _mass_ok(traj: dynamics.Trajectory) -> bool:
-    return bool(np.max(np.abs(traj.observables["mean"] - traj.config.c)) <= 1e-12)
+    return bool(np.max(np.abs(traj.states[:, 0] - traj.config.c)) <= 1e-12)
 
 
 def _simulate(cfg, states, y_state, phis, out):
@@ -118,8 +124,7 @@ def _simulate(cfg, states, y_state, phis, out):
 def _pair(cfg, states, y_state, phis, out):
     sim = cfg.sim
     traj_x, traj_y, dist = dynamics.simulate_pair(states[0], y_state, sim)
-    lam = sim.potential.lam if sim.potential.active else 0.0
-    envelope = dist[0] * np.exp(lam * traj_x.times) * (1.0 + LIPSCHITZ_TOL)
+    envelope = dist[0] * np.exp(sim.potential.lam * traj_x.times) * (1.0 + LIPSCHITZ_TOL)
     out.csv("distance.csv", ["t", "dist_m1", "growth_envelope"], [traj_x.times, dist, envelope])
     _write_trajectory(out, "trajectory_x.csv", traj_x)
     _write_trajectory(out, "trajectory_y.csv", traj_y)
@@ -131,7 +136,7 @@ def _pair(cfg, states, y_state, phis, out):
 
 
 def _couple(cfg, states, y_state, phis, out):
-    record = coupling.simulate_coupled(states[0], y_state, cfg.sim, cfg.band, check=False)
+    record = coupling.simulate_coupled(states[0], y_state, cfg.sim, cfg.band)
     out.csv(
         "coupling.csv",
         ["t", "dist_m1", "control_sq_integral", "log_weight"],
@@ -295,9 +300,9 @@ KINDS = {
     "pair": KindSpec(_pair, needs=(Y0,)),
     "couple": KindSpec(_couple, needs=(Y0, BAND)),
     "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS)),
-    "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, EVAL_TIME)),
+    "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, HORIZON_TIMES)),
     "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS,)),
-    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, EVAL_TIME)),
+    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, EVAL_TIME, RADIUS)),
     "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, EVAL_TIME, POLY)),
     "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF)),
 }

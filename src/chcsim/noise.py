@@ -134,13 +134,6 @@ class LinearLaw:
             out[hot] += rng.standard_normal(hot.size) * np.sqrt(self.var[hot])
         return ModeVector(out)
 
-    def sample_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.tile(self.mean, (count, 1))
-        hot = np.flatnonzero(self.var > 0.0)
-        if hot.size:
-            out[:, hot] += rng.standard_normal((count, hot.size)) * np.sqrt(self.var[hot])
-        return out
-
 
 def linear_law(x: ModeVector, t: float, cov: CovarianceSpec) -> LinearLaw:
     """Exact transition law of the linear equation started at x.

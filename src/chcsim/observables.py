@@ -1,9 +1,9 @@
-"""Observable specifications evaluated on mode-coefficient states."""
+"""Observables of mode-coefficient states: plain functions, one table of spec heads."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -14,17 +14,13 @@ from . import potential, spectral
 class ObservableSpec:
     """A named functional of the state.
 
-    kind is one of mean, seminorm, sup, energy, mode_moment, custom.  For
+    fn(states, sim_cfg) evaluates it on states of shape (..., M+1).  For
     bounded-Lipschitz uses (the smoothing estimates) sup_bound and lip must
     be finite: |phi| <= sup_bound and |phi(x)-phi(y)| <= lip |x-y|_{-1}.
     """
 
     name: str
-    kind: str
-    gamma: float = 0.0
-    k: int = 1
-    p: int = 2
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray, object], np.ndarray]
     sup_bound: float | None = None
     lip: float | None = None
 
@@ -37,60 +33,67 @@ class ObservableSpec:
 
 def evaluate(spec: ObservableSpec, states: np.ndarray, sim_cfg) -> np.ndarray:
     """Evaluate an observable on states of shape (..., M+1)."""
-    states = np.asarray(states, dtype=np.float64)
-    if spec.kind == "mean":
-        return states[..., 0]
-    if spec.kind == "seminorm":
-        return np.sqrt(spectral.seminorm_sq_many(states, spec.gamma))
-    if spec.kind == "sup":
-        grids = spectral.synthesize_many(states, sim_cfg.grid_size)
-        return np.max(np.abs(grids), axis=-1)
-    if spec.kind == "energy":
-        return potential.free_energy_many(states, sim_cfg.potential, sim_cfg.grid_size)
-    if spec.kind == "mode_moment":
-        return states[..., spec.k] ** spec.p
-    if spec.kind == "custom":
-        if spec.fn is None:
-            raise ValueError(f"custom observable {spec.name!r} has no function")
-        return np.asarray(spec.fn(states), dtype=np.float64)
-    raise ValueError(f"unknown observable kind {spec.kind!r}")
+    return spec.fn(np.asarray(states, dtype=np.float64), sim_cfg)
 
 
 def mean() -> ObservableSpec:
-    return ObservableSpec(name="mean", kind="mean")
+    return ObservableSpec("mean", lambda s, cfg: s[..., 0])
 
 
 def seminorm(gamma: float) -> ObservableSpec:
-    return ObservableSpec(name=f"seminorm[{gamma:g}]", kind="seminorm", gamma=gamma)
+    return ObservableSpec(
+        f"seminorm[{gamma:g}]", lambda s, cfg: np.sqrt(spectral.seminorm_sq_many(s, gamma))
+    )
 
 
 def seminorm_sq(gamma: float) -> ObservableSpec:
     return ObservableSpec(
-        name=f"seminorm_sq[{gamma:g}]",
-        kind="custom",
-        fn=lambda s, g=gamma: spectral.seminorm_sq_many(s, g),
+        f"seminorm_sq[{gamma:g}]", lambda s, cfg: spectral.seminorm_sq_many(s, gamma)
     )
 
 
 def sup_norm() -> ObservableSpec:
-    return ObservableSpec(name="sup", kind="sup")
+    return ObservableSpec(
+        "sup",
+        lambda s, cfg: np.max(np.abs(spectral.synthesize_many(s, cfg.grid_size)), axis=-1),
+    )
 
 
 def energy() -> ObservableSpec:
-    return ObservableSpec(name="energy", kind="energy")
+    return ObservableSpec(
+        "energy", lambda s, cfg: potential.free_energy_many(s, cfg.potential, cfg.grid_size)
+    )
 
 
 def mode_moment(k: int, p: int) -> ObservableSpec:
-    return ObservableSpec(name=f"mode[{k}]^{p}", kind="mode_moment", k=k, p=p)
+    return ObservableSpec(f"mode[{k}]^{p}", lambda s, cfg: s[..., k] ** p)
 
 
 def tanh_mode(k: int) -> ObservableSpec:
     """tanh of the (-1)-pairing with e_k: bounded by 1, Lipschitz alpha_k^(-1/2)."""
     alpha_k = spectral.eigenvalue(k)
     return ObservableSpec(
-        name=f"tanh_mode[{k}]",
-        kind="custom",
-        fn=lambda s, a=alpha_k, kk=k: np.tanh(s[..., kk] / a),
+        f"tanh_mode[{k}]",
+        lambda s, cfg: np.tanh(s[..., k] / alpha_k),
         sup_bound=1.0,
         lip=alpha_k**-0.5,
     )
+
+
+class Mode(NamedTuple):
+    """A mode-index argument of a spec: an integer in first..M."""
+
+    first: int
+
+
+# spec head -> (factory, argument types): "mode:1:2" is mode_moment(1, 2);
+# a spec gives exactly one ':'-separated field per argument
+HEADS = {
+    "mean": (mean, ()),
+    "sup": (sup_norm, ()),
+    "energy": (energy, ()),
+    "seminorm": (seminorm, (float,)),
+    "seminorm_sq": (seminorm_sq, (float,)),
+    "mode": (mode_moment, (Mode(0), int)),
+    "tanh": (tanh_mode, (Mode(1),)),
+}

@@ -41,7 +41,8 @@ class PotentialSpec:
 
     n is the polynomial truncation order (degree 2n+1); n = None selects the
     exact logarithm.  active = False disables the nonlinearity entirely
-    (f == 0), which is the linear test mode.
+    (f == 0), which is the linear test mode; it then carries lam = 0 and
+    n = None, so lam is the coefficient in force whatever active says.
     """
 
     lam: float = 0.0
@@ -51,6 +52,8 @@ class PotentialSpec:
     def __post_init__(self):
         if self.n is not None and self.n < 0:
             raise ValueError(f"truncation order must be >= 0, got {self.n}")
+        if not self.active and (self.lam != 0.0 or self.n is not None):
+            raise ValueError("an inactive potential has lam = 0 and n = None")
 
     @classmethod
     def truncated(cls, n: int, lam: float) -> "PotentialSpec":

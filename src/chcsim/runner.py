@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics
 from .config import ExperimentConfig, build_observable, build_state, config_hash, emit_config
 from .kinds import KINDS
 
@@ -100,7 +100,7 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
     sim = cfg.sim
     states = [build_state(s, sim, slot) for slot, s in enumerate(cfg.x0)]
     y_state = build_state(cfg.y0, sim, len(cfg.x0)) if cfg.y0 is not None else None
-    phis = tuple(build_observable(s) for s in cfg.observables)
+    phis = tuple(build_observable(s, sim.M) for s in cfg.observables)
     checks, extra = kind.run(cfg, states, y_state, phis, out)
 
     manifest_payload = {
@@ -134,11 +134,7 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
 
 
 SERIES_SOURCES = {
-    "mean": ("trajectory.csv", "trajectory_x.csv"),
-    "norm_m1": ("trajectory.csv", "trajectory_x.csv"),
-    "norm_1": ("trajectory.csv", "trajectory_x.csv"),
-    "sup": ("trajectory.csv", "trajectory_x.csv"),
-    "energy": ("trajectory.csv", "trajectory_x.csv"),
+    **{name: ("trajectory.csv", "trajectory_x.csv") for name, _ in dynamics.TRAJECTORY_COLUMNS},
     "dist_m1": ("coupling.csv", "distance.csv"),
     "control_sq_integral": ("coupling.csv",),
     "log_weight": ("coupling.csv",),

@@ -1,4 +1,4 @@
-"""Neumann cosine eigenbasis on (0,1): transforms, Sobolev scales, projections.
+"""Neumann cosine eigenbasis on (0,1): transforms and Sobolev scales.
 
 The basis is e_0 = 1, e_k(theta) = sqrt(2) cos(k pi theta), orthonormal in
 L^2(0,1).  These are the eigenfunctions of the Laplacian with zero-flux
@@ -199,12 +199,3 @@ def seminorm(v: ModeVector, gamma: float) -> float:
 def norm(v: ModeVector, gamma: float) -> float:
     """Full norm ||v||_gamma = (|v|_gamma^2 + mean^2)^(1/2)."""
     return float(np.sqrt(seminorm_sq_many(v.coeffs, gamma) + v.mean**2))
-
-
-def project_low(v: ModeVector, N: int) -> ModeVector:
-    """Keep modes 0..N, zero the rest."""
-    if not 0 <= N <= v.order:
-        raise ValueError(f"band N={N} outside 0..{v.order}")
-    out = np.zeros_like(v.coeffs)
-    out[: N + 1] = v.coeffs[: N + 1]
-    return ModeVector(out)

@@ -113,6 +113,7 @@ BREAK = {
     "x0": lambda text: _keep_first(text, "x0"),
     "sweep_n": lambda text: _keep_first(text, "sweep_n"),
     "potential": lambda text: _set(text, "potential", "exact"),
+    "radius": lambda text: _set(text, "radius", "-0.1"),
 }
 
 
@@ -135,14 +136,46 @@ def test_kind_requirement_rejected_with_field(kind, field):
     assert str(err.value).startswith(f"{field}: kind {kind} ")
 
 
+@pytest.mark.parametrize("kind, t", [("asf", "0"), ("asf", "0.2"), ("irreducibility", "5e-4"),
+                                     ("nsweep", "0")])
+def test_evaluation_time_outside_range_rejected(kind, t):
+    # every t must be at least one step; asf also reads t off its own horizon T
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(_set(example_text(kind), "t", t))
+    assert str(err.value).startswith(f"t: kind {kind} needs evaluation times")
+
+
+def _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, field):
+    path = write_cfg(tmp_path, text)
+    runs = tmp_path / "runs"
+    assert cli.main([kind, "--config", path, "--out", str(runs)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not runs.exists()
+
+
 @pytest.mark.parametrize("kind", sorted(k for k in KINDS if BAND in KINDS[k].needs))
 def test_cli_band_too_small_exits_2_without_run_directory(tmp_path, capsys, kind):
     # alpha_1 = pi^2 < lambda = 60: the coupling cannot contract
-    path = write_cfg(tmp_path, BREAK["N"](example_text(kind)))
-    runs = tmp_path / "runs"
-    assert cli.main([kind, "--config", path, "--out", str(runs)]) == 2
-    assert "config error: N: " in capsys.readouterr().err
-    assert not runs.exists()
+    _cli_exits_2_without_run_directory(
+        tmp_path, capsys, kind, BREAK["N"](example_text(kind)), "N"
+    )
+
+
+# (kind, key, value, field): each parsed cleanly and then failed inside the run
+BAD_FIELDS = [
+    ("couple", "x0", "modes:40=0.2", "x0[0]"),
+    ("ergodic", "observable", "mode:40:2", "observable[0]"),
+    ("asf", "observable", "tanh:0", "observable[0]"),
+    ("irreducibility", "radius", "-0.1", "radius"),
+    ("asf", "t", "0.2", "t"),
+    ("nsweep", "t", "0", "t"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, field", BAD_FIELDS)
+def test_cli_bad_field_exits_2_without_run_directory(tmp_path, capsys, kind, key, value, field):
+    text = _set(example_text(kind), key, value)
+    _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, field)
 
 
 def test_config_round_trip():
@@ -167,11 +200,40 @@ def test_build_state_variants():
 
 
 def test_build_observable_variants():
-    assert build_observable("seminorm:-1").name == "seminorm[-1]"
-    assert build_observable("mode:2:4").kind == "mode_moment"
-    assert build_observable("tanh:1").sup_bound == 1.0
+    assert build_observable("seminorm:-1", 32).name == "seminorm[-1]"
+    assert build_observable("mode:2:4", 32).name == "mode[2]^4"
+    assert build_observable("tanh:1", 32).sup_bound == 1.0
     with pytest.raises(ConfigError):
-        build_observable("volume")
+        build_observable("volume", 32)
+
+
+# (key, spec, field, message): one case per way a spec can break the grammar
+GRAMMAR_ERRORS = [
+    ("observable", "volume", "observable[0]", "unknown observable"),
+    ("observable", "mean:3", "observable[0]", "takes 0"),
+    ("observable", "seminorm:1:2", "observable[0]", "takes 1"),
+    ("observable", "mode:1", "observable[0]", "takes 2"),
+    ("observable", "mode:33:2", "observable[0]", "mode index 33 outside 0..32"),
+    ("observable", "mode:-1:2", "observable[0]", "mode index -1 outside 0..32"),
+    ("observable", "tanh:33", "observable[0]", "mode index 33 outside 1..32"),
+    ("observable", "tanh:0", "observable[0]", "mode index 0 outside 1..32"),
+    ("observable", "seminorm:x", "observable[0]", "expected a number"),
+    ("x0", "modes:33=0.1", "x0[0]", "mode index 33 outside 1..32"),
+    ("x0", "modes:0=0.5", "x0[0]", "mode index 0 outside 1..32"),
+    ("y0", "modes:1=0.1,40=0.2", "y0", "mode index 40 outside 1..32"),
+    ("x0", "modes:1=inf", "x0[0]", "finite"),
+    ("x0", "gaussian:nan", "x0[0]", "finite"),
+    ("x0", "const:1", "x0[0]", "unknown initial-state spec"),
+    ("x0", "flat", "x0[0]", "unknown initial-state spec"),
+]
+
+
+@pytest.mark.parametrize("key, spec, field, message", GRAMMAR_ERRORS)
+def test_spec_grammar_error_names_field(key, spec, field, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINIMAL + f"{key} = {spec}\n")
+    assert str(err.value).startswith(f"{field}: ")
+    assert message in str(err.value)
 
 
 def run_kind(tmp_path, text, kind=None, extra=""):

@@ -235,3 +235,10 @@ def test_spec_validation():
     assert not off.active and off.lam == 0.0
     with pytest.raises(ValueError):
         potential.nonlinearity_poly(0.1, PotentialSpec.exact(1.0))
+
+
+@pytest.mark.parametrize("lam, n", [(1.0, None), (0.0, 4), (-2.0, 0)])
+def test_inactive_potential_carries_no_coefficient(lam, n):
+    # an inactive potential means lam = 0, so callers read pot.lam directly
+    with pytest.raises(ValueError, match="inactive potential"):
+        PotentialSpec(lam=lam, n=n, active=False)
