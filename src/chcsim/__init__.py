@@ -3,11 +3,10 @@ stochastic Cahn-Hilliard equation on (0,1) with degenerate trace-class noise."""
 
 __version__ = "0.1.0"
 
-from .spectral import GridVector, ModeVector  # noqa: F401
+from .spectral import ModeVector  # noqa: F401
 from .potential import PotentialSpec, SingularInputError  # noqa: F401
 from .noise import CovarianceSpec, LinearLaw  # noqa: F401
 from .dynamics import (  # noqa: F401
-    EnergyBudget,
     SimConfig,
     StiffEventError,
     Trajectory,

@@ -62,7 +62,6 @@ _KNOWN_KEYS = _LIST_KEYS | {
 class ExperimentConfig:
     kind: str
     sim: SimConfig
-    band: int
     replicas: int = 1
     times: tuple = ()
     observables: tuple = ()
@@ -236,7 +235,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(
         kind=kind,
         sim=sim,
-        band=band,
         replicas=_to_int("replicas", single.get("replicas", "1")),
         times=times,
         observables=observable,
@@ -345,7 +343,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
         lines.append(f"lambda = {pot.lam!r}")
     for k, bk in sim.cov.to_pairs():
         lines.append(f"b = {k}:{bk!r}")
-    lines.append(f"N = {cfg.band}")
+    lines.append(f"N = {sim.cov.band}")
     lines.append(f"seed = {sim.seed}")
     lines.append(f"sup_guard = {sim.sup_guard!r}")
     lines.append(f"save_every = {sim.save_every}")

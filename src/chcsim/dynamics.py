@@ -13,12 +13,10 @@ in floating point.
 Every integration runs one step kernel over a (rows, M+1) batch in which each
 noise stream drives one row (paths, ensembles) or two stacked rows (pairs,
 coupled pairs).  A step tests the grid sup-norm against the guard per noise
-row and books its sums for accepted substeps only.  Budget sums (trapezoid /
-left-point rule, as the energy-budget checks consume them) are booked only
-when the caller asks: ``simulate`` and ``simulate_many`` do by default and
-take ``record_budgets=False`` to skip them, ``run_ensemble`` takes
-``record_budgets=True``.  A path integrated without them carries NaN budget
-fields.  Budget sums never feed back into the step, so states are the same
+row and books its sums for accepted substeps only.  The Ito budget sums
+(trapezoid / left-point rule, as the energy-budget checks consume them) are
+booked by ``run_ensemble(..., record_budgets=True)`` alone; no path driver
+books them.  They never feed back into the step, so states are the same
 either way.  Callers pick an optional band drift shift with its Girsanov sums
 (``coupling``), a save-grid recorder, and a stiff-step policy:
 
@@ -49,7 +47,7 @@ from .potential import PotentialSpec
 from .spectral import ModeVector
 
 MEAN_TOL = 1e-9
-# per-row sums a kernel books; BUDGET_KEYS are also Trajectory fields
+# per-row sums a kernel books: ensemble budgets, coupling controls
 BUDGET_KEYS = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
 CONTROL_KEYS = ("log_weight", "int_w_sq")
 # every trajectory's (column name, observable), in computed and written order
@@ -127,52 +125,17 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """A saved path: states at the save grid plus step-resolution integrals."""
+    """A saved path: states and observables at the save grid."""
 
     times: np.ndarray
     states: np.ndarray  # (S, M+1) coefficients
     observables: dict[str, np.ndarray]
-    diss_h1: float  # integral of |X|_1^2 dt
-    diss_h2: float  # integral of |X|_2^2 dt
-    grad_functional: float  # 2 * integral of (grad X)^2 sum_k X^{2k}
-    mart_m1: float  # 2 * integral of (X, sqrt(B) dW)_{-1}
-    mart_0: float  # 2 * integral of <X, sqrt(B) dW>
     config: SimConfig
     stiff_retries: int = 0
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Assembled pieces of one dissipation budget inequality."""
-
-    terminal_seminorm_sq: float
-    initial_seminorm_sq: float
-    dissipation: float
-    bound: float
-    martingale: float
-    gradient_functional: float = float("nan")
-
-    def __post_init__(self):
-        vals = (
-            self.terminal_seminorm_sq,
-            self.initial_seminorm_sq,
-            self.dissipation,
-            self.bound,
-            self.martingale,
-        )
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("budget entries must be finite")
-        if self.dissipation < 0:
-            raise ValueError("dissipation integral cannot be negative")
-
-    @property
-    def lhs(self) -> float:
-        """terminal - initial + dissipation, the quantity the bound controls."""
-        return self.terminal_seminorm_sq - self.initial_seminorm_sq + self.dissipation
 
 
 class Engine:
@@ -316,8 +279,11 @@ class _Kernel:
     noise row r drives state rows r, r + n, ...  The parts: band =
     (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy 1 and
     books the Girsanov sums; retry selects the bridge policy over marking
-    failures; budgets books the budget sums (one copy only).  sums, failed
-    and retries are per noise row; row r uses stream r.
+    failures; budgets books the budget sums (one copy only).  Path drivers
+    (``_run_paths``) retry and never book budgets; ``run_ensemble`` marks
+    failures and books them on request, so bridged substeps carry no budget
+    integrands.  sums, failed and retries are per noise row; row r uses
+    stream r.
     """
 
     def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, retry: bool = False,
@@ -419,7 +385,7 @@ class _Kernel:
             if self.retry:
                 cand[sub], cand_grids[sub], _ = self._bisect(
                     np.arange(self.failed.size)[rows][rejected], sub,
-                    states, grids, h, eta[rejected], dt, step, depth,
+                    states, grids, eta[rejected], dt, step, depth,
                 )
             else:
                 self.failed[rows][~ok & self.alive[rows]] = step
@@ -442,7 +408,7 @@ class _Kernel:
             self.sums[key][rows] += value if ok is None else np.where(ok, value, 0.0)
         return cand, cand_grids, hn
 
-    def _bisect(self, rows, sub, states, grids, h, eta, dt, step, depth):
+    def _bisect(self, rows, sub, states, grids, eta, dt, step, depth):
         """Re-run noise rows `rows` (state rows `sub` of the batch) on two
         halved substeps whose increments bridge the rejected eta."""
         if depth >= self.cfg.max_halvings:
@@ -454,9 +420,8 @@ class _Kernel:
         xi = np.array([self._bridge(int(r)).standard_normal(self.eng.active.size) for r in rows])
         bridge = self.eng.scatter_noise(xi, 1.0, np.zeros(eta.shape))
         half = 0.5 * eta + 0.5 * math.sqrt(dt) * bridge
-        sub_h = None if h is None else tuple(a[sub] for a in h)
-        mid = self.substep(rows, states[sub], grids[sub], sub_h, half, 0.5 * dt, step, depth + 1)
-        return self.substep(rows, *mid, eta - half, 0.5 * dt, step, depth + 1)
+        mid = self.substep(rows, states[sub], grids[sub], None, half, 0.5 * dt, step, depth + 1)
+        return self.substep(rows, *mid[:2], None, eta - half, 0.5 * dt, step, depth + 1)
 
     def _bridge(self, r: int) -> np.random.Generator:
         if r not in self._bridges:
@@ -474,7 +439,7 @@ class _Kernel:
             )
 
 
-def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, **parts):
+def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, band=None):
     """Integrate starts (copies, R, M+1) with stiff retries, saving every state
     row on the save grid.
 
@@ -485,8 +450,8 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, **parts)
     pos = {int(s): j for j, s in enumerate(marks)}
     copies, R, K = starts.shape
     saved = np.empty((copies, R, marks.size, K))
-    running = {k: np.empty((R, marks.size)) for k in CONTROL_KEYS} if parts.get("band") else {}
-    kern = _Kernel(cfg, R, copies=copies, retry=True, **parts)
+    running = {k: np.empty((R, marks.size)) for k in CONTROL_KEYS} if band else {}
+    kern = _Kernel(cfg, R, copies=copies, retry=True, band=band)
 
     def record(span, step, states):
         j = pos.get(step)
@@ -499,7 +464,7 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, **parts)
     return kern, saved, running
 
 
-def _trajectory(cfg: SimConfig, states: np.ndarray, sums: dict, retries: int) -> Trajectory:
+def _trajectory(cfg: SimConfig, states: np.ndarray, retries: int) -> Trajectory:
     if np.max(np.abs(states[:, 0] - cfg.c)) > 1e-12:
         raise RuntimeError("mass conservation broken: mean drifted beyond 1e-12")
     return Trajectory(
@@ -510,36 +475,27 @@ def _trajectory(cfg: SimConfig, states: np.ndarray, sums: dict, retries: int) ->
         },
         config=cfg,
         stiff_retries=int(retries),
-        **{key: float(sums.get(key, "nan")) for key in BUDGET_KEYS},
     )
 
 
-def simulate_many(
-    x_list, cfg: SimConfig, *, threads: int = 1, record_budgets: bool = True
-) -> list[Trajectory]:
+def simulate_many(x_list, cfg: SimConfig, *, threads: int = 1) -> list[Trajectory]:
     """Integrate several starts as one batch; start i draws from stream (seed, i).
 
     Trajectory i equals ``simulate`` of start i on stream i bit for bit,
-    stiff retries included, for any thread count.  With record_budgets=False
-    the budget sums are not booked and the budget fields are NaN; states,
-    observables and retries are unchanged.
+    stiff retries included, for any thread count.
     """
     starts = _tile_starts(np.stack([_as_state_array(x, cfg.M) for x in x_list]), cfg, len(x_list))
-    kern, saved, _ = _run_paths(cfg, starts[None], threads=threads, budgets=record_budgets)
-    return [
-        _trajectory(cfg, saved[0, r], {k: v[r] for k, v in kern.sums.items()}, kern.retries[r])
-        for r in range(starts.shape[0])
-    ]
+    kern, saved, _ = _run_paths(cfg, starts[None], threads=threads)
+    return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
 
 
-def simulate(x0: ModeVector, cfg: SimConfig, *, record_budgets: bool = True) -> Trajectory:
+def simulate(x0: ModeVector, cfg: SimConfig) -> Trajectory:
     """Integrate one trajectory and record observables on the save grid.
 
     The noise stream is the replica-0 stream of cfg.seed, so a single run
-    reproduces member 0 of an ensemble with the same config.  Pass
-    record_budgets=False when the ``ito_budget_*`` sums will not be read.
+    reproduces member 0 of an ensemble with the same config.
     """
-    return simulate_many([x0], cfg, record_budgets=record_budgets)[0]
+    return simulate_many([x0], cfg)[0]
 
 
 def step(v: ModeVector, dW: ModeVector, cfg: SimConfig) -> ModeVector:
@@ -566,44 +522,8 @@ def simulate_pair(
     save grid.
     """
     kern, saved, _ = _run_paths(cfg, np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)]))
-    tx, ty = (_trajectory(cfg, saved[c, 0], {}, kern.retries[0]) for c in (0, 1))
+    tx, ty = (_trajectory(cfg, saved[c, 0], kern.retries[0]) for c in (0, 1))
     return tx, ty, np.sqrt(spectral.seminorm_sq_many(tx.states - ty.states, -1.0))
-
-
-def ito_budget_m1(traj: Trajectory, cfg: SimConfig) -> EnergyBudget:
-    """Assemble the level -1 dissipation budget of a recorded trajectory.
-
-    bound = |x|_{-1}^2 + T * (Tr_{-1} + P_c(lam)); the dissipation integral
-    and martingale were accumulated at every step during integration.
-    """
-    q = potential.budget_rate(cfg.potential.lam, cfg.c, noise.trace_gamma(cfg.cov, -1.0))
-    initial = float(spectral.seminorm_sq_many(traj.states[0], -1.0))
-    terminal = float(spectral.seminorm_sq_many(traj.states[-1], -1.0))
-    return EnergyBudget(
-        terminal_seminorm_sq=terminal,
-        initial_seminorm_sq=initial,
-        dissipation=traj.diss_h1,
-        bound=initial + traj.horizon * q,
-        martingale=traj.mart_m1,
-    )
-
-
-def ito_budget_0(traj: Trajectory, cfg: SimConfig) -> EnergyBudget:
-    """Assemble the level 0 budget: E int |X|_2^2 <= |x|_0^2 + T Tr_0.
-
-    Also carries the accumulated gradient functional
-    2 int (grad X)^2 sum_{k<=n} X^{2k}, which is nonnegative pathwise.
-    """
-    initial = float(spectral.seminorm_sq_many(traj.states[0], 0.0))
-    terminal = float(spectral.seminorm_sq_many(traj.states[-1], 0.0))
-    return EnergyBudget(
-        terminal_seminorm_sq=terminal,
-        initial_seminorm_sq=initial,
-        dissipation=traj.diss_h2,
-        bound=initial + traj.horizon * noise.trace_gamma(cfg.cov, 0.0),
-        martingale=traj.mart_0,
-        gradient_functional=traj.grad_functional,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def time_average(traj: Trajectory, phi: ObservableSpec, burn_in: float) -> TimeA
     if burn_in >= traj.horizon:
         raise InsufficientDataError(f"burn-in {burn_in} consumes the whole horizon")
     values = observables.evaluate(phi, traj.states, traj.config)
-    sel = traj.times >= burn_in - 1e-12
+    sel = after_burn_in(traj.times, burn_in)
     t_sel = traj.times[sel]
     v_sel = values[sel]
     if v_sel.size < 2 * N_BATCHES:
@@ -61,6 +61,11 @@ def time_average(traj: Trajectory, phi: ObservableSpec, burn_in: float) -> TimeA
     spread = float(np.std(batch_means, ddof=1))
     tq = scipy.special.stdtrit(N_BATCHES - 1, 0.975)
     return TimeAverage(mean=mean, ci=float(tq * spread / math.sqrt(N_BATCHES)))
+
+
+def after_burn_in(times: np.ndarray, burn_in: float) -> np.ndarray:
+    """Mask of the save times a time average keeps."""
+    return times >= burn_in - 1e-12
 
 
 def default_burn_in(cfg: SimConfig, N: int | None) -> float:
@@ -170,7 +175,7 @@ def uniqueness_evidence(
     averages = np.empty((len(x_list), len(phi_list)))
     cis = np.empty_like(averages)
     labels = []
-    trajs = dynamics.simulate_many(x_list, cfg, threads=threads, record_budgets=False)
+    trajs = dynamics.simulate_many(x_list, cfg, threads=threads)
     for i, (x0, traj) in enumerate(zip(x_list, trajs)):
         labels.append(f"start{i}|x|={spectral.norm(x0, -1.0):.3g}")
         for j, phi in enumerate(phi_list):

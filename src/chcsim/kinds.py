@@ -41,10 +41,14 @@ def _times_from_dt(cfg) -> bool:
 Y0 = Need("y0", lambda cfg: cfg.y0 is not None, "needs a second initial state")
 BAND = Need(  # the spectral-gap condition of coupling.contraction_rate
     "N",
-    lambda cfg: spectral.eigenvalue(cfg.band + 1) > cfg.sim.potential.lam,
+    lambda cfg: spectral.eigenvalue(cfg.sim.cov.band + 1) > cfg.sim.potential.lam,
     "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band",
 )
-EVAL_TIME = Need("t", _times_from_dt, "needs evaluation times t >= dt (t lines)")
+EVAL_TIME = Need(
+    "t",
+    lambda cfg: len(cfg.times) == 1 and _times_from_dt(cfg),
+    "needs evaluation times: exactly one t line, with t >= dt",
+)
 HORIZON_TIMES = Need(
     "t",
     lambda cfg: _times_from_dt(cfg) and max(cfg.times) <= cfg.sim.T,
@@ -60,6 +64,22 @@ POLY = Need(
     "potential",
     lambda cfg: cfg.sim.potential.is_truncated,
     "sweeps the truncated potential; set potential = poly",
+)
+
+
+def _samples_after_burn_in(cfg) -> int:
+    """Save times ``ergodics.time_average`` keeps after the burn-in that
+    ``uniqueness_evidence`` resolves."""
+    sim, burn_in = cfg.sim, cfg.burn_in
+    if burn_in is None:
+        burn_in = ergodics.default_burn_in(sim, sim.cov.band)
+    return int(np.count_nonzero(ergodics.after_burn_in(dynamics.save_steps(sim) * sim.dt, burn_in)))
+
+
+SAMPLES = Need(
+    "T",
+    lambda cfg: _samples_after_burn_in(cfg) >= 2 * ergodics.N_BATCHES,
+    f"needs at least {2 * ergodics.N_BATCHES} saved samples after burn-in; lengthen T",
 )
 OFF = Need(
     "potential",
@@ -107,7 +127,7 @@ def _mass_ok(traj: dynamics.Trajectory) -> bool:
 
 
 def _simulate(cfg, states, y_state, phis, out):
-    traj = dynamics.simulate(states[0], cfg.sim, record_budgets=False)
+    traj = dynamics.simulate(states[0], cfg.sim)
     _write_trajectory(out, "trajectory.csv", traj)
     if cfg.save_states:
         out.json(
@@ -136,7 +156,7 @@ def _pair(cfg, states, y_state, phis, out):
 
 
 def _couple(cfg, states, y_state, phis, out):
-    record = coupling.simulate_coupled(states[0], y_state, cfg.sim, cfg.band)
+    record = coupling.simulate_coupled(states[0], y_state, cfg.sim, cfg.sim.cov.band)
     out.csv(
         "coupling.csv",
         ["t", "dist_m1", "control_sq_integral", "log_weight"],
@@ -153,7 +173,7 @@ def _couple(cfg, states, y_state, phis, out):
 
 def _girsanov(cfg, states, y_state, phis, out):
     gg = coupling.girsanov_gap(
-        states[0], y_state, cfg.sim, cfg.band, cfg.replicas, threads=cfg.threads
+        states[0], y_state, cfg.sim, cfg.sim.cov.band, cfg.replicas, threads=cfg.threads
     )
     out.json("girsanov.json", dataclasses.asdict(gg))
     checks = {
@@ -168,7 +188,7 @@ def _girsanov(cfg, states, y_state, phis, out):
 def _asf(cfg, states, y_state, phis, out):
     phi = phis[0] if phis else observables.tanh_mode(1)
     rows = coupling.asf_estimate(
-        phi, states[0], y_state, cfg.times, cfg.sim, cfg.band, cfg.replicas,
+        phi, states[0], y_state, cfg.times, cfg.sim, cfg.sim.cov.band, cfg.replicas,
         threads=cfg.threads,
     )
     out.json("asf.json", {"observable": phi.name, "rows": [dataclasses.asdict(r) for r in rows]})
@@ -182,7 +202,7 @@ def _ergodic(cfg, states, y_state, phis, out):
         observables.energy(),
     )
     report = ergodics.uniqueness_evidence(
-        states, phi_list, cfg.sim, N=cfg.band, burn_in=cfg.burn_in, threads=cfg.threads
+        states, phi_list, cfg.sim, N=cfg.sim.cov.band, burn_in=cfg.burn_in, threads=cfg.threads
     )
     out.json("ergodic.json", report.to_dict())
     out.text("ergodic.txt", report.render_text() + "\n")
@@ -301,7 +321,7 @@ KINDS = {
     "couple": KindSpec(_couple, needs=(Y0, BAND)),
     "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS)),
     "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, HORIZON_TIMES)),
-    "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS,)),
+    "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS, SAMPLES)),
     "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, EVAL_TIME, RADIUS)),
     "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, EVAL_TIME, POLY)),
     "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF)),

@@ -10,12 +10,13 @@ of the *negated* Laplacian, which removes any sign ambiguity downstream.
 
 Fields are represented either by their coefficients in this basis (a
 ``ModeVector`` of length M+1, mode 0 being the spatial mean) or by values at
-the midpoint nodes theta_q = (q + 1/2)/Q (a ``GridVector``).  Midpoint nodes
-keep the discrete cosine family exactly orthogonal, so analyze/synthesize is
-an exact round trip on band-limited data; both directions are realized with
-fast DCTs.  Synthesis runs its DCT in place on the zero-padded array it
-builds; analysis does so only when the caller hands over its grid values
-(``overwrite=True``), as the step kernel does with each fresh nonlinearity.
+the midpoint nodes theta_q = (q + 1/2)/Q, both as arrays over the last axis.
+Midpoint nodes keep the discrete cosine family exactly orthogonal, so
+analyze_many/synthesize_many is an exact round trip on band-limited data;
+both directions are realized with fast DCTs.  Synthesis runs its DCT in
+place on the zero-padded array it builds; analysis does so only when the
+caller hands over its grid values (``overwrite=True``), as the step kernel
+does with each fresh nonlinearity.
 """
 
 from __future__ import annotations
@@ -109,23 +110,6 @@ class ModeVector:
         return ModeVector(self.coeffs - other.coeffs)
 
 
-@dataclass(frozen=True)
-class GridVector:
-    """Field values at the Q midpoint nodes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("values must be a non-empty 1-d sequence")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
 def synthesize_many(coeffs: np.ndarray, Q: int) -> np.ndarray:
     """Evaluate fields at the midpoint nodes; coeffs has shape (..., M+1).
 
@@ -158,16 +142,6 @@ def analyze_many(values: np.ndarray, M: int, overwrite: bool = False) -> np.ndar
     np.divide(raw[..., 0], 2.0 * Q, out=out[..., 0])
     np.divide(raw[..., 1 : M + 1], SQRT2 * Q, out=out[..., 1:])
     return out
-
-
-def synthesize(v: ModeVector, Q: int) -> GridVector:
-    """Evaluate a ModeVector on the Q-point midpoint grid."""
-    return GridVector(synthesize_many(v.coeffs, Q))
-
-
-def analyze(g: GridVector, M: int) -> ModeVector:
-    """Project a GridVector onto the first M+1 modes."""
-    return ModeVector(analyze_many(g.values, M))
 
 
 def gradient_matrix(M: int, Q: int) -> np.ndarray:

@@ -222,23 +222,3 @@ def test_girsanov_and_ergodic_results_ignore_thread_count():
         for t in (1, 3)
     ]
     assert reports[0] == reports[1]
-
-
-def test_uniqueness_evidence_without_budgets_equals_booked_reference(monkeypatch):
-    cfg = make_cfg(M=16, dt=1e-3, T=0.4, cov=standard_cov(16), seed=97, save_every=5)
-    starts = [ModeVector.constant(0.0, 16), perturbed_state(cfg, 0.9, slot=1)]
-    phis = [observables.seminorm_sq(-1.0), observables.mode_moment(1, 2), observables.energy()]
-    report = ergodics.uniqueness_evidence(starts, phis, cfg, N=2, burn_in=0.1)
-
-    simulate_many, asked = dynamics.simulate_many, []
-
-    def booking(x_list, cfg, **kw):
-        asked.append(kw.get("record_budgets"))
-        return simulate_many(x_list, cfg, **{**kw, "record_budgets": True})
-
-    monkeypatch.setattr(dynamics, "simulate_many", booking)
-    ref = ergodics.uniqueness_evidence(starts, phis, cfg, N=2, burn_in=0.1)
-    assert asked == [False]
-    assert np.array_equal(report.averages, ref.averages)
-    assert np.array_equal(report.cis, ref.cis)
-    assert report.violations == ref.violations

@@ -46,7 +46,7 @@ def test_minimal_config_accepted():
     assert cfg.kind == "simulate"
     assert cfg.sim.M == 32 and cfg.sim.seed == 7
     assert cfg.sim.grid_size == 4 * 33
-    assert cfg.band == 2
+    assert cfg.sim.cov.band == 2
     assert cfg.sim.cov.b[1] == 1.0 and cfg.sim.cov.b[2] == 1.0
 
 
@@ -114,6 +114,7 @@ BREAK = {
     "sweep_n": lambda text: _keep_first(text, "sweep_n"),
     "potential": lambda text: _set(text, "potential", "exact"),
     "radius": lambda text: _set(text, "radius", "-0.1"),
+    "T": lambda text: _set(text, "T", "0.5"),
 }
 
 
@@ -145,6 +146,14 @@ def test_evaluation_time_outside_range_rejected(kind, t):
     assert str(err.value).startswith(f"t: kind {kind} needs evaluation times")
 
 
+@pytest.mark.parametrize("kind", ["irreducibility", "nsweep"])
+def test_second_evaluation_time_rejected(kind):
+    # both kinds evaluate at one time, so a further t line would go unread
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(example_text(kind) + "t = 0.25\n")
+    assert str(err.value).startswith(f"t: kind {kind} ")
+
+
 def _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, field):
     path = write_cfg(tmp_path, text)
     runs = tmp_path / "runs"
@@ -169,6 +178,7 @@ BAD_FIELDS = [
     ("irreducibility", "radius", "-0.1", "radius"),
     ("asf", "t", "0.2", "t"),
     ("nsweep", "t", "0", "t"),
+    ("ergodic", "T", "0.5", "T"),
 ]
 
 

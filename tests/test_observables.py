@@ -46,7 +46,7 @@ def test_every_head_equals_its_formula(spec, M):
 
 def test_trajectory_columns_equal_their_formulas():
     cfg = make_cfg(M=16, dt=1e-3, T=0.02, c=0.1, save_every=5)
-    traj = dynamics.simulate(perturbed_state(cfg, 0.5), cfg, record_budgets=False)
+    traj = dynamics.simulate(perturbed_state(cfg, 0.5), cfg)
     s = traj.states
     want = {
         "mean": s[:, 0],
