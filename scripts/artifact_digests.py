@@ -2,9 +2,11 @@
 """Run every example config and print the sha256 of each artifact it writes.
 
 One ``<sha256>  <kind>/<artifact>`` line per artifact goes to stdout, sorted
-by name.  ``manifest.json`` records wall-clock fields and is not among the
-outputs it lists, so it is left out.  Each run's wall time goes to stderr.
-Checking that a change keeps every artifact byte-identical is then one diff:
+by name, and one ``<sha256>  <kind>/manifest.json`` line per run: the digest
+of the manifest with its wall-clock fields ``created_utc`` and
+``elapsed_seconds`` dropped.  Each run's wall time goes to stderr.  Checking
+that a change keeps every artifact byte-identical, and every manifest but for
+its wall-clock fields, is then one diff:
 
     PYTHONPATH=src python scripts/artifact_digests.py > after.txt
     diff before.txt after.txt
@@ -13,6 +15,7 @@ Checking that a change keeps every artifact byte-identical is then one diff:
 import argparse
 import glob
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -22,6 +25,11 @@ from chcsim import runner
 from chcsim.config import parse_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+WALL_CLOCK = ("created_utc", "elapsed_seconds")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def digests(config_dir: str) -> list[str]:
@@ -34,7 +42,11 @@ def digests(config_dir: str) -> list[str]:
             print(f"{os.path.basename(path)}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
             for name in manifest.outputs:
                 with open(os.path.join(manifest.directory, name), "rb") as fh:
-                    lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {cfg.kind}/{name}")
+                    lines.append(f"{_sha256(fh.read())}  {cfg.kind}/{name}")
+            with open(manifest.path, encoding="utf-8") as fh:
+                payload = {k: v for k, v in json.load(fh).items() if k not in WALL_CLOCK}
+            text = json.dumps(payload, indent=2, sort_keys=True)
+            lines.append(f"{_sha256(text.encode('utf-8'))}  {cfg.kind}/manifest.json")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 

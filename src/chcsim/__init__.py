@@ -12,7 +12,6 @@ from .dynamics import (  # noqa: F401
     Trajectory,
     simulate,
     simulate_pair,
-    step,
 )
 from .coupling import (  # noqa: F401
     AsfEstimate,

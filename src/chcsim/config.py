@@ -1,21 +1,21 @@
 """Flat key=value experiment configuration: parsing, validation, emission.
 
-The format is one `key = value` pair per line, `#` comments, and repeated
-keys for lists (`b`, `t`, `x0`, `observable`, `sweep_n`).  Flat text was
-chosen over nested formats so experiment sweeps diff line by line.
-
-parse_config resolves every default and validates invariants with
-field-path diagnostics, the kind's own requirements taken from its entry in
-``kinds.KINDS``; emit_config writes the resolved form back, and
-parse(emit(cfg)) == cfg holds exactly.
+One `key = value` pair per line, `#` comments, and repeated keys for lists
+(`b`, `t`, `x0`, `observable`, `sweep_n`): flat text diffs line by line.
+``KEYS`` is the one table of keys, in emitted order.  A key left out of the
+text is not passed on, so its default lives in its dataclass field alone;
+potential, lambda and N, which no field holds, default to poly, 0 and 0.
+parse_config_text validates with field-path diagnostics, the kind's own
+requirements taken from ``kinds.KINDS``; parse(emit(cfg)) == cfg exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,34 +28,6 @@ from .noise import CovarianceSpec
 from .observables import ObservableSpec
 from .potential import PotentialSpec
 from .spectral import ModeVector
-
-THREADS_ENV = "CHC_SIM_THREADS"
-
-_LIST_KEYS = {"b", "t", "x0", "observable", "sweep_n"}
-_KNOWN_KEYS = _LIST_KEYS | {
-    "kind",
-    "M",
-    "Q",
-    "oversample",
-    "dt",
-    "T",
-    "c",
-    "lambda",
-    "potential",
-    "n",
-    "N",
-    "seed",
-    "sup_guard",
-    "save_every",
-    "max_halvings",
-    "replicas",
-    "y0",
-    "burn_in",
-    "radius",
-    "out",
-    "threads",
-    "save_states",
-}
 
 
 @dataclass(frozen=True)
@@ -112,78 +84,146 @@ def _to_bool(field, raw):
     _fail(field, f"expected true/false, got {raw!r}")
 
 
-def read_pairs(text: str):
-    """Raw (key, value) pairs from config text, in file order."""
-    pairs = []
+def _plain(convert):
+    """A reader that needs no M."""
+    return lambda field, raw, M: convert(field, raw)
+
+
+_INT, _FLOAT, _BOOL = _plain(_to_int), _plain(_to_float), _plain(_to_bool)
+_TEXT = _plain(lambda field, raw: raw)
+
+
+def _kind(field, raw, M):
+    if raw not in KINDS:
+        _fail(field, f"unknown experiment kind {raw!r}; choose from {', '.join(KINDS)}")
+    return raw
+
+
+def _seed(field, raw, M):
+    seed = _to_int(field, raw)
+    if not 0 <= seed < 2**64:
+        _fail(field, "must fit in 64 bits")
+    return seed
+
+
+def _potential(field, raw, M):
+    if raw not in ("poly", "exact", "off"):
+        _fail(field, f"expected poly/exact/off, got {raw!r}")
+    return raw
+
+
+def _noise_entry(field, raw, M):
+    """A `b = mode:value` line as (k, b_k)."""
+    if ":" not in raw:
+        _fail(field, f"expected 'mode:value', got {raw!r}")
+    k_raw, _, v_raw = raw.partition(":")
+    k = _to_mode(field, k_raw, 0, M)
+    v = _to_float(field, v_raw)
+    if k == 0 and v != 0.0:
+        _fail(field, "mean-conservation violated: b_0 must be 0")
+    if v < 0:
+        _fail(field, "noise coefficients must be nonnegative")
+    return k, v
+
+
+def _state(field, raw, M):
+    parse_state(raw, M, field)
+    return raw
+
+
+def _observable(field, raw, M):
+    build_observable(raw, M, field)
+    return raw
+
+
+class Key(NamedTuple):
+    """One config key: ``read(field, raw, M)`` reads one raw value (M is read
+    before the keys that need it); ``attr`` is the ExperimentConfig attribute
+    (``sim.<field>`` for SimConfig) the value goes to and emit_config writes
+    back, unless ``emit(cfg)`` gives what is written.  A list key (``many``)
+    writes one line per value; a written None writes no line."""
+
+    read: Callable
+    attr: str | None = None
+    emit: Callable | None = None
+    many: bool = False
+    required: bool = False
+
+    def written(self, cfg) -> tuple:
+        value = self.emit(cfg) if self.emit else operator.attrgetter(self.attr)(cfg)
+        return tuple(value) if self.many else () if value is None else (value,)
+
+
+KEYS = {
+    "kind": Key(_kind, "kind", required=True),
+    "M": Key(_INT, "sim.M", required=True),
+    "Q": Key(_INT, "sim.Q"),
+    "dt": Key(_FLOAT, "sim.dt", required=True),
+    "T": Key(_FLOAT, "sim.T", required=True),
+    "c": Key(_FLOAT, "sim.c", required=True),
+    # potential, lambda, n, b and N are folded into the potential and the
+    # covariance by parse_config_text
+    "potential": Key(_potential, emit=lambda cfg: "poly" if cfg.sim.potential.is_truncated
+                     else "exact" if cfg.sim.potential.active else "off"),
+    "lambda": Key(_FLOAT, emit=lambda cfg: cfg.sim.potential.lam if cfg.sim.potential.active
+                  else 0),
+    "n": Key(_INT, "sim.potential.n"),
+    "b": Key(_noise_entry, emit=lambda cfg: [f"{k}:{v!r}" for k, v in cfg.sim.cov.to_pairs()],
+             many=True),
+    "N": Key(_INT, "sim.cov.band"),
+    "seed": Key(_seed, "sim.seed", required=True),
+    "sup_guard": Key(_FLOAT, "sim.sup_guard"),
+    "save_every": Key(_INT, "sim.save_every"),
+    "max_halvings": Key(_INT, "sim.max_halvings"),
+    "replicas": Key(_INT, "replicas"),
+    "t": Key(_FLOAT, "times", many=True),
+    "observable": Key(_observable, "observables", many=True),
+    "x0": Key(_state, "x0", many=True),
+    "y0": Key(_state, "y0"),
+    "burn_in": Key(_FLOAT, "burn_in"),
+    "radius": Key(_FLOAT, "radius"),
+    "sweep_n": Key(_INT, "sweep_n", many=True),
+    "out": Key(_TEXT, "out"),
+    "threads": Key(_INT, "threads"),
+    "save_states": Key(_BOOL, "save_states", emit=lambda cfg: str(cfg.save_states).lower()),
+}
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    raw: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    pairs = read_pairs(text)
-    single: dict[str, str] = {}
-    lists: dict[str, list[str]] = {k: [] for k in _LIST_KEYS}
-    for key, value in pairs:
-        if key not in _KNOWN_KEYS:
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in KEYS:
             _fail(key, "unknown configuration key")
-        if key in _LIST_KEYS:
-            lists[key].append(value)
-        else:
-            if key in single:
-                _fail(key, "repeated key (only list keys may repeat)")
-            single[key] = value
+        if key in raw and not KEYS[key].many:
+            _fail(key, "repeated key (only list keys may repeat)")
+        raw.setdefault(key, []).append(value)
 
-    def need(key):
-        if key not in single:
-            _fail(key, "required key missing")
-        return single[key]
+    values = {}
+    for name, key in KEYS.items():
+        if name in raw:
+            read = [key.read(f"{name}[{i}]" if key.many else name, r, values.get("M"))
+                    for i, r in enumerate(raw[name])]
+            values[name] = tuple(read) if key.many else read[0]
+        elif key.required:
+            _fail(name, "required key missing")
 
-    kind = need("kind")
-    if kind not in KINDS:
-        _fail("kind", f"unknown experiment kind {kind!r}; choose from {', '.join(KINDS)}")
+    M = values["M"]
+    pot_kind, lam = values.pop("potential", "poly"), values.pop("lambda", 0.0)
+    n = values.pop("n", None)
+    if pot_kind == "poly" and n is None:
+        _fail("n", "required key missing")
+    if pot_kind == "off" and lam != 0.0:
+        _fail("lambda", "must be 0 when the potential is off")
 
-    M = _to_int("M", need("M"))
-    dt = _to_float("dt", need("dt"))
-    T = _to_float("T", need("T"))
-    c = _to_float("c", need("c"))
-    seed = _to_int("seed", need("seed"))
-    if not 0 <= seed < 2**64:
-        _fail("seed", "must fit in 64 bits")
-
-    lam = _to_float("lambda", single.get("lambda", "0"))
-    pot_kind = single.get("potential", "poly")
-    if pot_kind == "poly":
-        n = _to_int("n", need("n"))
-        potential = PotentialSpec.truncated(n, lam)
-    elif pot_kind == "exact":
-        potential = PotentialSpec.exact(lam)
-    elif pot_kind == "off":
-        if lam != 0.0:
-            _fail("lambda", "must be 0 when the potential is off")
-        potential = PotentialSpec.off()
-    else:
-        _fail("potential", f"expected poly/exact/off, got {pot_kind!r}")
-
-    band = _to_int("N", single.get("N", "0"))
+    band = values.pop("N", 0)
     b = np.zeros(M + 1)
-    for i, entry in enumerate(lists["b"]):
-        field = f"b[{i}]"
-        if ":" not in entry:
-            _fail(field, f"expected 'mode:value', got {entry!r}")
-        k_raw, _, v_raw = entry.partition(":")
-        k = _to_mode(field, k_raw, 0, M)
-        v = _to_float(field, v_raw)
-        if k == 0 and v != 0.0:
-            _fail(field, "mean-conservation violated: b_0 must be 0")
-        if v < 0:
-            _fail(field, "noise coefficients must be nonnegative")
+    for k, v in values.pop("b", ()):
         b[k] = v
     if not 0 <= band <= M:
         _fail("N", f"band must lie in 0..{M}")
@@ -193,63 +233,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"b[{int(zero_in_band[0]) + 1}]",
             f"the elliptic band assumption needs b_k > 0 for k = 1..{band}",
         )
-    cov = CovarianceSpec(b, band)
 
-    oversample = _to_int("oversample", single.get("oversample", "4"))
-    if "Q" in single:
-        Q = _to_int("Q", single["Q"])
-    else:
-        # resolve the default now so the emitted config echoes every choice
-        Q = (M + 1) * max(1, oversample)
+    sim_kw, exp_kw = {}, {}
+    for name, value in values.items():
+        owner, _, field = KEYS[name].attr.rpartition(".")
+        (sim_kw if owner else exp_kw)[field] = value
     try:
-        sim = SimConfig(
-            M=M,
-            dt=dt,
-            T=T,
-            c=c,
-            potential=potential,
-            cov=cov,
-            seed=seed,
-            Q=Q,
-            oversample=oversample,
-            sup_guard=_to_float("sup_guard", single.get("sup_guard", "1.5")),
-            save_every=_to_int("save_every", single.get("save_every", "1")),
-            max_halvings=_to_int("max_halvings", single.get("max_halvings", "10")),
-        )
+        potential = PotentialSpec(lam, n if pot_kind == "poly" else None, active=pot_kind != "off")
+        sim = SimConfig(potential=potential, cov=CovarianceSpec(b, band), **sim_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    times = tuple(_to_float(f"t[{i}]", v) for i, v in enumerate(lists["t"]))
-    sweep_n = tuple(_to_int(f"sweep_n[{i}]", v) for i, v in enumerate(lists["sweep_n"]))
-    x0 = tuple(lists["x0"]) or ("const",)
-    for i, spec in enumerate(x0):
-        parse_state(spec, M, f"x0[{i}]")
-    y0 = single.get("y0")
-    if y0 is not None:
-        parse_state(y0, M, "y0")
-    observable = tuple(lists["observable"])
-    for i, spec in enumerate(observable):
-        build_observable(spec, M, f"observable[{i}]")
-
-    threads_default = os.environ.get(THREADS_ENV, "1")
-    cfg = ExperimentConfig(
-        kind=kind,
-        sim=sim,
-        replicas=_to_int("replicas", single.get("replicas", "1")),
-        times=times,
-        observables=observable,
-        x0=x0,
-        y0=y0,
-        burn_in=_to_float("burn_in", single["burn_in"]) if "burn_in" in single else None,
-        radius=_to_float("radius", single.get("radius", "0.1")),
-        sweep_n=sweep_n,
-        out=single.get("out", "runs"),
-        threads=_to_int("threads", single.get("threads", threads_default)),
-        save_states=_to_bool("save_states", single.get("save_states", "false")),
-    )
-    for need in KINDS[kind].needs:
+    cfg = ExperimentConfig(sim=sim, **exp_kw)
+    for need in KINDS[cfg.kind].needs:
         if not need.ok(cfg):
-            _fail(need.field, f"kind {kind} {need.message}")
+            _fail(need.field, f"kind {cfg.kind} {need.message}")
     return cfg
 
 
@@ -320,51 +318,7 @@ def build_observable(spec: str, M: int, field: str = "observable") -> Observable
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Resolved config as canonical flat text; parse(emit(cfg)) == cfg."""
-    sim = cfg.sim
-    lines = [
-        f"kind = {cfg.kind}",
-        f"M = {sim.M}",
-        f"Q = {sim.grid_size}",
-        f"oversample = {sim.oversample}",
-        f"dt = {sim.dt!r}",
-        f"T = {sim.T!r}",
-        f"c = {sim.c!r}",
-    ]
-    pot = sim.potential
-    if not pot.active:
-        lines.append("potential = off")
-        lines.append("lambda = 0")
-    elif pot.is_truncated:
-        lines.append("potential = poly")
-        lines.append(f"lambda = {pot.lam!r}")
-        lines.append(f"n = {pot.n}")
-    else:
-        lines.append("potential = exact")
-        lines.append(f"lambda = {pot.lam!r}")
-    for k, bk in sim.cov.to_pairs():
-        lines.append(f"b = {k}:{bk!r}")
-    lines.append(f"N = {sim.cov.band}")
-    lines.append(f"seed = {sim.seed}")
-    lines.append(f"sup_guard = {sim.sup_guard!r}")
-    lines.append(f"save_every = {sim.save_every}")
-    lines.append(f"max_halvings = {sim.max_halvings}")
-    lines.append(f"replicas = {cfg.replicas}")
-    for t in cfg.times:
-        lines.append(f"t = {t!r}")
-    for s in cfg.observables:
-        lines.append(f"observable = {s}")
-    for s in cfg.x0:
-        lines.append(f"x0 = {s}")
-    if cfg.y0 is not None:
-        lines.append(f"y0 = {cfg.y0}")
-    if cfg.burn_in is not None:
-        lines.append(f"burn_in = {cfg.burn_in!r}")
-    lines.append(f"radius = {cfg.radius!r}")
-    for n in cfg.sweep_n:
-        lines.append(f"sweep_n = {n}")
-    lines.append(f"out = {cfg.out}")
-    lines.append(f"threads = {cfg.threads}")
-    lines.append(f"save_states = {str(cfg.save_states).lower()}")
+    lines = [f"{name} = {v}" for name, key in KEYS.items() for v in key.written(cfg)]
     return "\n".join(lines) + "\n"
 
 

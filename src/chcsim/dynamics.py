@@ -79,8 +79,7 @@ class SimConfig:
     potential: PotentialSpec
     cov: CovarianceSpec
     seed: int
-    Q: int | None = None
-    oversample: int = 4
+    Q: int | None = None  # None: spectral.default_grid_size(M)
     sup_guard: float = 1.5
     save_every: int = 1
     max_halvings: int = 10
@@ -98,10 +97,10 @@ class SimConfig:
             raise ValueError(
                 f"covariance order {self.cov.order} does not match M={self.M}"
             )
-        if self.Q is not None and self.Q < self.M + 1:
+        if self.Q is None:
+            object.__setattr__(self, "Q", spectral.default_grid_size(self.M))
+        if self.Q < self.M + 1:
             raise ValueError(f"grid size Q={self.Q} must be at least M+1")
-        if self.oversample < 1:
-            raise ValueError("oversample factor must be >= 1")
         if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
         if self.sup_guard <= 0:
@@ -109,9 +108,7 @@ class SimConfig:
 
     @property
     def grid_size(self) -> int:
-        if self.Q is not None:
-            return self.Q
-        return spectral.default_grid_size(self.M, self.oversample)
+        return self.Q
 
     @property
     def steps(self) -> int:
@@ -496,21 +493,6 @@ def simulate(x0: ModeVector, cfg: SimConfig) -> Trajectory:
     reproduces member 0 of an ensemble with the same config.
     """
     return simulate_many([x0], cfg)[0]
-
-
-def step(v: ModeVector, dW: ModeVector, cfg: SimConfig) -> ModeVector:
-    """One semi-implicit transition with increment dW (variance b_k dt).
-
-    Raises StiffEventError when the input or updated state exceeds the
-    sup-norm guard; callers may halve dt and retry with bridged noise.
-    """
-    kern = _Kernel(cfg, 1)
-    state = _as_state_array(v, cfg.M)[None, :]
-    grids = kern.start(state)
-    out, _, _ = kern.substep(slice(0, 1), state, grids, None, dW.coeffs[None, :], cfg.dt, 1)
-    if kern.failed[0] >= 0:
-        raise StiffEventError("updated state exceeds the sup-norm guard")
-    return ModeVector(out[0])
 
 
 def simulate_pair(

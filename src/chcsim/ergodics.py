@@ -217,7 +217,7 @@ def clopper_pearson_lower(hits: int, n: int, confidence: float = 0.95) -> float:
 
 @dataclass(frozen=True)
 class ExitProbe:
-    """Estimate of P(|X(t) - c e_0|_{-1} <= radius)."""
+    """Estimate of P(|X(T) - c e_0|_{-1} <= radius)."""
 
     estimate: float
     se: float
@@ -229,21 +229,19 @@ class ExitProbe:
 def exit_probability(
     x0: ModeVector,
     radius: float,
-    t: float,
     cfg: SimConfig,
     replicas: int,
     *,
     threads: int = 1,
 ) -> ExitProbe:
-    """Probability of sitting inside the ball around the flat state at time t.
+    """Probability of sitting inside the ball around the flat state at time T.
 
     A positive Clopper-Pearson lower bound is the reachability evidence; the
     probe certifies positivity only, not a rate.
     """
-    if radius <= 0 or t <= 0:
-        raise ValueError("radius and t must be positive")
-    run_cfg = replace(cfg, T=t)
-    res = dynamics.run_ensemble(x0, run_cfg, replicas, threads=threads)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    res = dynamics.run_ensemble(x0, cfg, replicas, threads=threads)
     centered = res.final.copy()
     centered[:, 0] -= cfg.c
     dist_sq = spectral.seminorm_sq_many(centered, -1.0)
@@ -268,9 +266,8 @@ class SweepRow:
 
 @dataclass
 class TruncationSweep:
-    """E[phi(X(t))] across truncation orders, with Cauchy differences."""
+    """E[phi(X(T))] across truncation orders, with Cauchy differences."""
 
-    t: float
     rows: dict  # observable name -> list[SweepRow]
 
     def diffs(self, name: str) -> np.ndarray:
@@ -289,19 +286,13 @@ class TruncationSweep:
         return bool(self.diffs(name)[-1] <= self.combined_ses(name)[-1])
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "rows": {
-                name: [asdict(r) for r in rows] for name, rows in self.rows.items()
-            },
-        }
+        return {"rows": {name: [asdict(r) for r in rows] for name, rows in self.rows.items()}}
 
 
 def truncation_sweep(
     x0: ModeVector,
     n_list,
     phi_list,
-    t: float,
     cfg: SimConfig,
     replicas: int,
     *,
@@ -320,7 +311,7 @@ def truncation_sweep(
     lam = cfg.potential.lam
     rows = {phi.name: [] for phi in phi_list}
     for n in n_list:
-        run_cfg = replace(cfg, T=t, potential=PotentialSpec.truncated(n, lam))
+        run_cfg = replace(cfg, potential=PotentialSpec.truncated(n, lam))
         res = dynamics.run_ensemble(x0, run_cfg, replicas, threads=threads, strict=False)
         ok = res.failed_step < 0
         n_ok = int(np.sum(ok))
@@ -338,4 +329,4 @@ def truncation_sweep(
                     failed=replicas - n_ok,
                 )
             )
-    return TruncationSweep(t=t, rows=rows)
+    return TruncationSweep(rows)

@@ -34,24 +34,16 @@ class Need(NamedTuple):
     message: str
 
 
-def _times_from_dt(cfg) -> bool:
-    return bool(cfg.times) and min(cfg.times) >= cfg.sim.dt
-
-
 Y0 = Need("y0", lambda cfg: cfg.y0 is not None, "needs a second initial state")
 BAND = Need(  # the spectral-gap condition of coupling.contraction_rate
     "N",
     lambda cfg: spectral.eigenvalue(cfg.sim.cov.band + 1) > cfg.sim.potential.lam,
     "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band",
 )
-EVAL_TIME = Need(
-    "t",
-    lambda cfg: len(cfg.times) == 1 and _times_from_dt(cfg),
-    "needs evaluation times: exactly one t line, with t >= dt",
-)
+AT_HORIZON = Need("t", lambda cfg: not cfg.times, "evaluates at T; drop the t lines")
 HORIZON_TIMES = Need(
     "t",
-    lambda cfg: _times_from_dt(cfg) and max(cfg.times) <= cfg.sim.T,
+    lambda cfg: bool(cfg.times) and min(cfg.times) >= cfg.sim.dt and max(cfg.times) <= cfg.sim.T,
     "needs evaluation times dt <= t <= T (t lines)",
 )
 RADIUS = Need("radius", lambda cfg: cfg.radius > 0, "needs a positive radius")
@@ -210,24 +202,22 @@ def _ergodic(cfg, states, y_state, phis, out):
 
 
 def _irreducibility(cfg, states, y_state, phis, out):
-    t_eval = cfg.times[0]
     rows = []
     for label, x0 in zip(cfg.x0, states):
         probe = ergodics.exit_probability(
-            x0, cfg.radius, t_eval, cfg.sim, cfg.replicas, threads=cfg.threads
+            x0, cfg.radius, cfg.sim, cfg.replicas, threads=cfg.threads
         )
         rows.append({"start": label, **dataclasses.asdict(probe)})
-    out.json("irreducibility.json", {"t": t_eval, "radius": cfg.radius, "rows": rows})
+    out.json("irreducibility.json", {"t": cfg.sim.T, "radius": cfg.radius, "rows": rows})
     return {"reachable_from_all_starts": all(r["lower95"] > 0.0 for r in rows)}, {}
 
 
 def _nsweep(cfg, states, y_state, phis, out):
     phi_list = phis or (observables.seminorm(-1.0),)
     sweep = ergodics.truncation_sweep(
-        states[0], cfg.sweep_n, phi_list, cfg.times[0], cfg.sim, cfg.replicas,
-        threads=cfg.threads,
+        states[0], cfg.sweep_n, phi_list, cfg.sim, cfg.replicas, threads=cfg.threads
     )
-    out.json("nsweep.json", sweep.to_dict())
+    out.json("nsweep.json", {"t": cfg.sim.T, **sweep.to_dict()})
     rows = sweep.rows[phi_list[0].name]
     fields = ["n", "mean", "se", "failed"]
     out.csv("nsweep.csv", fields, [np.array([getattr(r, f) for r in rows]) for f in fields])
@@ -322,7 +312,7 @@ KINDS = {
     "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS)),
     "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, HORIZON_TIMES)),
     "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS, SAMPLES)),
-    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, EVAL_TIME, RADIUS)),
-    "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, EVAL_TIME, POLY)),
+    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, AT_HORIZON, RADIUS)),
+    "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, AT_HORIZON, POLY)),
     "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF)),
 }

@@ -47,9 +47,9 @@ def nodes(Q: int) -> np.ndarray:
     return (np.arange(Q) + 0.5) / Q
 
 
-def default_grid_size(M: int, oversample: int = 4) -> int:
-    """Default dealiasing grid: Q = oversample * (M + 1)."""
-    return oversample * (M + 1)
+def default_grid_size(M: int) -> int:
+    """Default dealiasing grid: Q = 4(M + 1)."""
+    return 4 * (M + 1)
 
 
 def exact_dealias_size(M: int, n: int) -> int:

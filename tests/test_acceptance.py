@@ -251,7 +251,7 @@ def test_criterion_10_irreducibility_probe():
         modes = np.zeros(33)
         modes[1], modes[2] = 0.5, -0.3
         for x0 in (ModeVector.constant(0.0, 32), ModeVector(far), ModeVector(modes)):
-            probe = ergodics.exit_probability(x0, 0.1, 2.0, cfg, replicas=1000)
+            probe = ergodics.exit_probability(x0, 0.1, cfg, replicas=1000)
             assert probe.lower95 > 0.0
 
 
@@ -264,7 +264,6 @@ def test_criterion_11_truncation_limit_proxy():
             ModeVector.constant(0.0, 32),
             [2, 4, 8, 16],
             [observables.seminorm(-1.0)],
-            1.0,
             cfg,
             replicas=1000,
         )

@@ -15,25 +15,17 @@ PI4 = math.pi**4
 
 
 def test_step_linear_implicit_euler():
-    cfg = make_cfg(M=8, dt=1e-3, T=1.0, cov=CovarianceSpec.zero(8), potential_mode="off")
-    v = ModeVector.unit(1, 8, amplitude=0.7)
-    out = dynamics.step(v, ModeVector.zeros(8), cfg)
-    assert out.coeffs[1] == 0.7 / (1.0 + 0.5 * cfg.dt * PI4)
-    assert np.all(out.coeffs[2:] == 0.0)
+    cfg = make_cfg(M=8, dt=1e-3, T=1e-3, cov=CovarianceSpec.zero(8), potential_mode="off")
+    out = dynamics.simulate(ModeVector.unit(1, 8, amplitude=0.7), cfg).states[-1]
+    assert out[1] == 0.7 / (1.0 + 0.5 * cfg.dt * PI4)
+    assert np.all(out[2:] == 0.0)
 
 
 def test_step_constant_is_equilibrium():
-    cfg = make_cfg(M=8, dt=1e-3, c=0.3, cov=band_cov(8, [(1, 1.0)], 1), n=4, lam=1.0)
-    v = ModeVector.constant(0.3, 8)
-    out = dynamics.step(v, ModeVector.zeros(8), cfg)
-    assert out.coeffs[0] == 0.3
-    assert np.max(np.abs(out.coeffs[1:])) < 1e-15
-
-
-def test_step_guard_signal():
-    cfg = make_cfg(M=8, dt=1e-3, cov=CovarianceSpec.zero(8), n=4, lam=0.0, sup_guard=0.5)
-    with pytest.raises(StiffEventError):
-        dynamics.step(ModeVector.unit(1, 8, amplitude=0.9), ModeVector.zeros(8), cfg)
+    cfg = make_cfg(M=8, dt=1e-3, T=1e-3, c=0.3, cov=CovarianceSpec.zero(8), n=4, lam=1.0)
+    out = dynamics.simulate(ModeVector.constant(0.3, 8), cfg).states[-1]
+    assert out[0] == 0.3
+    assert np.max(np.abs(out[1:])) < 1e-15
 
 
 def test_simulate_linear_decay():

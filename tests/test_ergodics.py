@@ -60,22 +60,22 @@ def test_ci_width_follows_clt_scaling():
 
 
 def test_exit_probability_trivia():
-    cfg = make_cfg(M=8, dt=1e-3, T=1.0, cov=standard_cov(8), n=4, lam=1.0, seed=71)
+    cfg = make_cfg(M=8, dt=1e-3, T=0.05, cov=standard_cov(8), n=4, lam=1.0, seed=71)
     x0 = perturbed_state(cfg, 0.5)
     big = spectral.seminorm(x0, -1.0) + 10.0
-    probe = ergodics.exit_probability(x0, big, 0.05, cfg, replicas=64)
+    probe = ergodics.exit_probability(x0, big, cfg, replicas=64)
     assert probe.estimate == 1.0
     assert probe.lower95 > 0.9
     with pytest.raises(ValueError):
-        ergodics.exit_probability(x0, -1.0, 0.05, cfg, replicas=8)
+        ergodics.exit_probability(x0, -1.0, cfg, replicas=8)
 
 
 def test_exit_probability_monotone_in_radius():
-    cfg = make_cfg(M=8, dt=1e-3, T=1.0, cov=standard_cov(8), n=4, lam=1.0, seed=73)
+    cfg = make_cfg(M=8, dt=1e-3, T=0.5, cov=standard_cov(8), n=4, lam=1.0, seed=73)
     x0 = perturbed_state(cfg, 0.5)
     # determinism makes the underlying ensemble identical across calls
     estimates = [
-        ergodics.exit_probability(x0, r, 0.5, cfg, replicas=300).estimate
+        ergodics.exit_probability(x0, r, cfg, replicas=300).estimate
         for r in (0.01, 0.03, 0.1, 0.3)
     ]
     assert all(a <= b for a, b in zip(estimates, estimates[1:]))
@@ -105,7 +105,7 @@ def test_exit_probability_against_gaussian_oracle():
     cfg = _ou_cfg(T=0.3, seed=79, dt=2e-4, save_every=100)
     x0 = ModeVector.unit(1, 8, amplitude=0.2)
     radius = 0.035
-    probe = ergodics.exit_probability(x0, radius, 0.3, cfg, replicas=4000)
+    probe = ergodics.exit_probability(x0, radius, cfg, replicas=4000)
     p_oracle, se_oracle = _linear_ball_probability(
         x0, 0.3, cfg.cov, radius, samples=200_000, rng=noise.aux_stream(79, 9)
     )
@@ -138,19 +138,17 @@ def test_special_quantiles_equal_scipy_stats():
 
 
 def test_truncation_sweep_identical_orders():
-    cfg = make_cfg(M=16, dt=1e-3, T=1.0, cov=standard_cov(16), n=4, lam=1.0, seed=83)
+    cfg = make_cfg(M=16, dt=1e-3, T=0.2, cov=standard_cov(16), n=4, lam=1.0, seed=83)
     x0 = ModeVector.constant(0.0, 16)
-    sweep = ergodics.truncation_sweep(
-        x0, [4, 4], [observables.seminorm(-1.0)], 0.2, cfg, replicas=32
-    )
+    sweep = ergodics.truncation_sweep(x0, [4, 4], [observables.seminorm(-1.0)], cfg, replicas=32)
     assert sweep.diffs("seminorm[-1]")[0] == 0.0
 
 
 def test_truncation_sweep_decreasing_differences():
-    cfg = make_cfg(M=16, dt=1e-3, T=1.0, cov=standard_cov(16), n=4, lam=1.0, seed=89)
+    cfg = make_cfg(M=16, dt=1e-3, T=0.5, cov=standard_cov(16), n=4, lam=1.0, seed=89)
     x0 = ModeVector.constant(0.0, 16)
     sweep = ergodics.truncation_sweep(
-        x0, [2, 4, 8], [observables.seminorm(-1.0)], 0.5, cfg, replicas=300
+        x0, [2, 4, 8], [observables.seminorm(-1.0)], cfg, replicas=300
     )
     name = "seminorm[-1]"
     assert sweep.monotone_decreasing(name)
@@ -158,10 +156,10 @@ def test_truncation_sweep_decreasing_differences():
 
 
 def test_truncation_sweep_rejects_decreasing_orders():
-    cfg = make_cfg(M=8, dt=1e-3, T=0.5, cov=standard_cov(8), n=4, lam=1.0)
+    cfg = make_cfg(M=8, dt=1e-3, T=0.1, cov=standard_cov(8), n=4, lam=1.0)
     with pytest.raises(ValueError):
         ergodics.truncation_sweep(
-            ModeVector.zeros(8), [4, 2], [observables.mean()], 0.1, cfg, replicas=8
+            ModeVector.zeros(8), [4, 2], [observables.mean()], cfg, replicas=8
         )
 
 

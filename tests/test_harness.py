@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import scipy.stats
 
 from chcsim import cli, kinds, runner
 from chcsim.config import (
+    KEYS,
     ConfigError,
     build_observable,
     build_state,
@@ -68,8 +70,29 @@ def test_unknown_key_rejected():
 
 
 def test_missing_required_rejected():
-    with pytest.raises(ConfigError, match="dt"):
-        parse_config_text(MINIMAL.replace("dt = 1e-4\n", ""))
+    # n has no default while potential = poly, the default potential
+    for key in ("kind", "M", "dt", "T", "c", "seed", "n"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(_drop(MINIMAL, key))
+        assert str(err.value) == f"{key}: required key missing"
+
+
+def test_repeated_scalar_key_rejected():
+    with pytest.raises(ConfigError, match="seed: repeated key"):
+        parse_config_text(MINIMAL + "seed = 8\n")
+
+
+def test_negative_truncation_order_is_config_error():
+    with pytest.raises(ConfigError, match="truncation order must be >= 0"):
+        parse_config_text(MINIMAL.replace("n = 4", "n = -1"))
+
+
+def test_threads_default_ignores_environment(monkeypatch):
+    # the config hash names the run directory, so it depends on the text alone
+    hash_before = config_hash(parse_config_text(MINIMAL))
+    monkeypatch.setenv("CHC_SIM_THREADS", "2")
+    assert parse_config_text(MINIMAL).threads == 1
+    assert config_hash(parse_config_text(MINIMAL)) == hash_before
 
 
 def test_kind_specific_validation():
@@ -104,17 +127,19 @@ def _set(text, key, value):
     return _drop(text, key) + f"{key} = {value}\n"
 
 
-# one edit per requirement field that breaks that requirement alone
+# one edit per requirement that breaks that requirement alone
 BREAK = {
-    "y0": lambda text: _drop(text, "y0"),
-    "N": lambda text: _set(_set(text, "lambda", "60"), "N", "0"),
-    "replicas": lambda text: _set(text, "replicas", "1"),
-    "t": lambda text: _drop(text, "t"),
-    "x0": lambda text: _keep_first(text, "x0"),
-    "sweep_n": lambda text: _keep_first(text, "sweep_n"),
-    "potential": lambda text: _set(text, "potential", "exact"),
-    "radius": lambda text: _set(text, "radius", "-0.1"),
-    "T": lambda text: _set(text, "T", "0.5"),
+    kinds.Y0: lambda text: _drop(text, "y0"),
+    kinds.BAND: lambda text: _set(_set(text, "lambda", "60"), "N", "0"),
+    kinds.REPLICAS: lambda text: _set(text, "replicas", "1"),
+    kinds.HORIZON_TIMES: lambda text: _drop(text, "t"),
+    kinds.AT_HORIZON: lambda text: text + "t = 0.5\n",  # even a t equal to T
+    kinds.STARTS: lambda text: _keep_first(text, "x0"),
+    kinds.ORDERS: lambda text: _keep_first(text, "sweep_n"),
+    kinds.POLY: lambda text: _set(text, "potential", "exact"),
+    kinds.OFF: lambda text: _set(text, "potential", "exact"),
+    kinds.RADIUS: lambda text: _set(text, "radius", "-0.1"),
+    kinds.SAMPLES: lambda text: _set(text, "T", "0.5"),
 }
 
 
@@ -127,28 +152,35 @@ def test_example_config_per_kind_round_trips(kind):
 
 
 @pytest.mark.parametrize(
-    "kind, field", [(kind, need.field) for kind in sorted(KINDS) for need in KINDS[kind].needs]
+    "kind, need",
+    [
+        pytest.param(kind, need, id=f"{kind}-{need.field}")
+        for kind in sorted(KINDS)
+        for need in KINDS[kind].needs
+    ],
 )
-def test_kind_requirement_rejected_with_field(kind, field):
+def test_kind_requirement_rejected_with_field(kind, need):
     text = example_text(kind)
     parse_config_text(text)
     with pytest.raises(ConfigError) as err:
-        parse_config_text(BREAK[field](text))
-    assert str(err.value).startswith(f"{field}: kind {kind} ")
+        parse_config_text(BREAK[need](text))
+    assert str(err.value) == f"{need.field}: kind {kind} {need.message}"
 
 
 @pytest.mark.parametrize("kind, t", [("asf", "0"), ("asf", "0.2"), ("irreducibility", "5e-4"),
                                      ("nsweep", "0")])
 def test_evaluation_time_outside_range_rejected(kind, t):
-    # every t must be at least one step; asf also reads t off its own horizon T
+    # asf takes its t lines in dt..T; irreducibility and nsweep evaluate at T
+    # and take none
+    (need,) = [need for need in KINDS[kind].needs if need.field == "t"]
     with pytest.raises(ConfigError) as err:
         parse_config_text(_set(example_text(kind), "t", t))
-    assert str(err.value).startswith(f"t: kind {kind} needs evaluation times")
+    assert str(err.value) == f"t: kind {kind} {need.message}"
 
 
 @pytest.mark.parametrize("kind", ["irreducibility", "nsweep"])
 def test_second_evaluation_time_rejected(kind):
-    # both kinds evaluate at one time, so a further t line would go unread
+    # both kinds evaluate at T, so a t line would go unread
     with pytest.raises(ConfigError) as err:
         parse_config_text(example_text(kind) + "t = 0.25\n")
     assert str(err.value).startswith(f"t: kind {kind} ")
@@ -166,7 +198,7 @@ def _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, field):
 def test_cli_band_too_small_exits_2_without_run_directory(tmp_path, capsys, kind):
     # alpha_1 = pi^2 < lambda = 60: the coupling cannot contract
     _cli_exits_2_without_run_directory(
-        tmp_path, capsys, kind, BREAK["N"](example_text(kind)), "N"
+        tmp_path, capsys, kind, BREAK[BAND](example_text(kind)), "N"
     )
 
 
@@ -194,6 +226,59 @@ def test_config_round_trip():
     again = parse_config_text(emit_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+
+
+# every key of the table, in emitted order, each away from its default
+EVERY_KEY = """kind = pair
+M = 16
+Q = 40
+dt = 0.002
+T = 0.5
+c = 0.25
+potential = poly
+lambda = 2.5
+n = 3
+b = 1:0.5
+b = 3:0.25
+N = 1
+seed = 12345678901234567890
+sup_guard = 1.75
+save_every = 5
+max_halvings = 4
+replicas = 6
+t = 0.1
+t = 0.4
+observable = mode:2:3
+observable = tanh:1
+x0 = gaussian:0.3
+x0 = modes:1=0.1,2=-0.05
+y0 = modes:3=0.2
+burn_in = 0.2
+radius = 0.05
+sweep_n = 1
+sweep_n = 5
+out = elsewhere
+threads = 3
+save_states = true
+"""
+
+
+@pytest.mark.parametrize("potential", ["poly", "exact", "off"])
+def test_every_key_round_trips(potential):
+    text = EVERY_KEY.replace("potential = poly", f"potential = {potential}")
+    if potential != "poly":
+        text = _drop(text, "n")
+    if potential == "off":
+        text = text.replace("lambda = 2.5", "lambda = 0")
+    cfg = parse_config_text(text)
+    # a reader and its emitter that disagree change the text or the config
+    assert emit_config(cfg) == text
+    assert parse_config_text(emit_config(cfg)) == cfg
+    assert {line.split(" = ")[0] for line in EVERY_KEY.splitlines()} == set(KEYS)
+    for obj in (cfg, cfg.sim):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(obj, f.name) != f.default, f.name
 
 
 def test_build_state_variants():
@@ -358,7 +443,7 @@ def test_cli_irreducibility(tmp_path, capsys):
         MINIMAL.replace("kind = simulate", "kind = irreducibility")
         .replace("T = 1", "T = 0.5")
         .replace("dt = 1e-4", "dt = 1e-3")
-        + "x0 = const\nx0 = gaussian:0.7\nradius = 0.3\nt = 0.5\nreplicas = 100\nsave_every = 10\n"
+        + "x0 = const\nx0 = gaussian:0.7\nradius = 0.3\nreplicas = 100\nsave_every = 10\n"
     )
     assert run_kind(tmp_path, text) == 0
     assert "PASS reachable_from_all_starts" in capsys.readouterr().out
@@ -369,7 +454,7 @@ def test_cli_nsweep(tmp_path, capsys):
         MINIMAL.replace("kind = simulate", "kind = nsweep")
         .replace("T = 1", "T = 0.5")
         .replace("dt = 1e-4", "dt = 1e-3")
-        + "sweep_n = 2\nsweep_n = 4\nsweep_n = 8\nt = 0.5\nreplicas = 300\n"
+        + "sweep_n = 2\nsweep_n = 4\nsweep_n = 8\nreplicas = 300\n"
         + "observable = seminorm:-1\nsave_every = 100\n"
     )
     assert run_kind(tmp_path, text) == 0
