@@ -248,6 +248,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for need in KINDS[cfg.kind].needs:
         if not need.ok(cfg):
             _fail(need.field, f"kind {cfg.kind} {need.message}")
+    # after the kind's needs, so a kind that needs poly names potential, not n
+    if pot_kind != "poly" and n is not None:
+        _fail("n", f"a truncation order needs potential = poly, not {pot_kind}")
     return cfg
 
 

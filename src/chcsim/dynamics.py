@@ -170,9 +170,8 @@ class Engine:
         return spectral.synthesize_many(states, self.Q)
 
     def nonlin_modes(self, grids: np.ndarray) -> np.ndarray:
-        # the nonlinearity array is fresh and ours, so the DCT may reuse it
         return spectral.analyze_many(
-            potential.nonlinearity_grid(grids, self.cfg.potential), self.cfg.M, overwrite=True
+            potential.nonlinearity_grid(grids, self.cfg.potential), self.cfg.M
         )
 
     def scatter_noise(self, xi: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
@@ -462,8 +461,6 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, band=Non
 
 
 def _trajectory(cfg: SimConfig, states: np.ndarray, retries: int) -> Trajectory:
-    if np.max(np.abs(states[:, 0] - cfg.c)) > 1e-12:
-        raise RuntimeError("mass conservation broken: mean drifted beyond 1e-12")
     return Trajectory(
         times=save_steps(cfg) * cfg.dt,
         states=states,

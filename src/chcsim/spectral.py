@@ -12,22 +12,31 @@ Fields are represented either by their coefficients in this basis (a
 ``ModeVector`` of length M+1, mode 0 being the spatial mean) or by values at
 the midpoint nodes theta_q = (q + 1/2)/Q, both as arrays over the last axis.
 Midpoint nodes keep the discrete cosine family exactly orthogonal, so
-analyze_many/synthesize_many is an exact round trip on band-limited data;
-both directions are realized with fast DCTs.  Synthesis runs its DCT in
-place on the zero-padded array it builds; analysis does so only when the
-caller hands over its grid values (``overwrite=True``), as the step kernel
-does with each fresh nonlinearity.
+analyze_many/synthesize_many is an exact round trip on band-limited data.
+Both directions multiply by a cached cosine matrix, and BLAS only ever sees
+tiles of exactly ``TILE`` rows (the last one zero-padded): a row's bits then
+depend on that row alone, never on the batch it shares or on how many worker
+threads split the batch.  They do depend on the BLAS build and CPU, and from
+about M = 96 on, where OpenBLAS splits one tile's product over its own
+threads, on OPENBLAS_NUM_THREADS.
+
+At N of order 30 modes a matrix product beats an FFT-based transform (Boyd,
+Chebyshev and Fourier Spectral Methods, 2001, ch. 10): at M = 32, Q = 132 it
+is faster than a DCT from one row up.  At M >= 64 a batch of a few rows pays
+for its padded tile and runs slower than a DCT would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 SQRT2 = math.sqrt(2.0)
+# rows per BLAS call of the transforms; every call has exactly this many
+TILE = 32
 
 
 def eigenvalue(k: int) -> float:
@@ -110,38 +119,56 @@ class ModeVector:
         return ModeVector(self.coeffs - other.coeffs)
 
 
+@functools.lru_cache(maxsize=16)
+def _cosine_matrices(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (S, A): S[k, q] = e_k(theta_q), shape (M+1, Q), and A = S^T / Q."""
+    # k pi theta_q = pi k (2q+1) / (2Q); reduce k (2q+1) mod 4Q exactly first
+    j = (np.arange(M + 1)[:, None] * (2 * np.arange(Q) + 1)[None, :]) % (4 * Q)
+    S = SQRT2 * np.cos(j * (math.pi / (2 * Q)))
+    S[0] = 1.0
+    A = np.ascontiguousarray(S.T / Q)
+    S.flags.writeable = A.flags.writeable = False
+    return S, A
+
+
+def _tiled_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat over the last axis of x, calling BLAS on TILE-row tiles only."""
+    rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    (R, K), N = rows.shape, mat.shape[1]
+    out = np.empty((R, N))
+    full = R - R % TILE
+    if full:
+        np.matmul(rows[:full].reshape(-1, TILE, K), mat, out=out[:full].reshape(-1, TILE, N))
+    if full < R:
+        tile = np.zeros((TILE, K))
+        tile[: R - full] = rows[full:]
+        out[full:] = np.matmul(tile, mat)[: R - full]
+    return out.reshape(x.shape[:-1] + (N,))
+
+
 def synthesize_many(coeffs: np.ndarray, Q: int) -> np.ndarray:
     """Evaluate fields at the midpoint nodes; coeffs has shape (..., M+1).
 
-    values[..., q] = c_0 + sqrt(2) * sum_k c_k cos(k pi theta_q), via a
-    type-III DCT of the zero-padded, half-weighted coefficient array.
+    values[..., q] = c_0 + sqrt(2) * sum_k c_k cos(k pi theta_q).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     M = coeffs.shape[-1] - 1
     if Q < M + 1:
         raise ValueError(f"grid size Q={Q} must be at least M+1={M + 1}")
-    pad = np.zeros(coeffs.shape[:-1] + (Q,))
-    pad[..., 0] = coeffs[..., 0]
-    np.divide(coeffs[..., 1:], SQRT2, out=pad[..., 1 : M + 1])
-    return scipy.fft.dct(pad, type=3, axis=-1, overwrite_x=True)
+    return _tiled_matmul(coeffs, _cosine_matrices(M, Q)[0])
 
 
-def analyze_many(values: np.ndarray, M: int, overwrite: bool = False) -> np.ndarray:
+def analyze_many(values: np.ndarray, M: int) -> np.ndarray:
     """Project grid values onto modes 0..M; values has shape (..., Q).
 
     coeffs[..., k] = (1/Q) sum_q values[..., q] e_k(theta_q).  Exact inverse
-    of :func:`synthesize_many` whenever Q >= M+1.  With overwrite=True the
-    DCT may run in place and leave `values` destroyed.
+    of :func:`synthesize_many` whenever Q >= M+1.
     """
     values = np.asarray(values, dtype=np.float64)
     Q = values.shape[-1]
     if Q < M + 1:
         raise ValueError(f"grid size Q={Q} must be at least M+1={M + 1}")
-    raw = scipy.fft.dct(values, type=2, axis=-1, overwrite_x=overwrite)
-    out = np.empty(values.shape[:-1] + (M + 1,))
-    np.divide(raw[..., 0], 2.0 * Q, out=out[..., 0])
-    np.divide(raw[..., 1 : M + 1], SQRT2 * Q, out=out[..., 1:])
-    return out
+    return _tiled_matmul(values, _cosine_matrices(M, Q)[1])
 
 
 def gradient_matrix(M: int, Q: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from chcsim import cli, kinds, runner
+from chcsim import cli, dynamics, kinds, runner
 from chcsim.config import (
     KEYS,
     ConfigError,
@@ -85,6 +85,17 @@ def test_repeated_scalar_key_rejected():
 def test_negative_truncation_order_is_config_error():
     with pytest.raises(ConfigError, match="truncation order must be >= 0"):
         parse_config_text(MINIMAL.replace("n = 4", "n = -1"))
+
+
+@pytest.mark.parametrize("pot, lam", [("exact", "1"), ("off", "0")])
+def test_truncation_order_without_poly_rejected(tmp_path, capsys, pot, lam):
+    text = MINIMAL.replace("potential = poly", f"potential = {pot}").replace(
+        "lambda = 1", f"lambda = {lam}"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == f"n: a truncation order needs potential = poly, not {pot}"
+    _cli_exits_2_without_run_directory(tmp_path, capsys, "simulate", text, "n")
 
 
 def test_threads_default_ignores_environment(monkeypatch):
@@ -368,6 +379,21 @@ def test_cli_kind_mismatch(tmp_path):
 def test_cli_config_error_exit(tmp_path):
     path = write_cfg(tmp_path, MINIMAL.replace("b = 1:1.0", "b = 0:1.0"))
     assert cli.main(["simulate", "--config", path]) == 2
+
+
+def test_cli_mass_drift_fails_check(tmp_path, capsys, monkeypatch):
+    # a step that moves mode 0 must surface as a failed check, exit 4
+    advance = dynamics.Engine.advance
+
+    def drifting(self, states, eta, dt, nl):
+        out = advance(self, states, eta, dt, nl)
+        out[..., 0] += 1e-9
+        return out
+
+    monkeypatch.setattr(dynamics.Engine, "advance", drifting)
+    text = MINIMAL.replace("T = 1", "T = 0.01") + "save_every = 10\n"
+    assert run_kind(tmp_path, text) == 4
+    assert "FAIL mass_conservation" in capsys.readouterr().out
 
 
 def test_cli_stiff_exit(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,8 +106,7 @@ def test_dealiased_nonlinearity_matches_dense_quadrature(rng):
 
 
 def _synthesize_reference(coeffs, Q):
-    # pad-then-DCT with fresh temporaries, as synthesize_many computed it
-    # before it divided into the pad and ran the DCT in place
+    # type-III DCT of the zero-padded, half-weighted coefficients
     M = coeffs.shape[-1] - 1
     pad = np.zeros(coeffs.shape[:-1] + (Q,))
     pad[..., 0] = coeffs[..., 0]
@@ -120,24 +122,83 @@ def _analyze_reference(values, M):
     return out
 
 
+def _dot_bound(x, scale=1.0):
+    # twice the worst-case rounding of a K-term dot product of x with entries
+    # at most sqrt(2) * scale in size, gamma_K * sqrt(2) * scale * sum|x|:
+    # once for each side
+    K = x.shape[-1]
+    gamma = K * np.finfo(float).eps / (1 - K * np.finfo(float).eps)
+    return 2 * gamma * spectral.SQRT2 * scale * np.sum(np.abs(x), axis=-1, keepdims=True)
+
+
 @pytest.mark.parametrize(
     "lead, M, Q", [((), 8, 9), ((3,), 8, 36), ((1000,), 32, 132), ((2, 5), 32, 165)]
 )
 def test_in_place_transforms_equal_pad_then_dct(rng, lead, M, Q):
+    # the tiled cosine products agree with the DCT to within rounding
     coeffs = rng.standard_normal(lead + (M + 1,))
     kept = coeffs.copy()
     grid = spectral.synthesize_many(coeffs, Q)
-    assert np.array_equal(grid, _synthesize_reference(kept, Q))
+    assert np.all(np.abs(grid - _synthesize_reference(kept, Q)) <= _dot_bound(kept))
     assert np.array_equal(coeffs, kept)
     strided = rng.standard_normal(lead + (2 * (M + 1),))[..., ::2]
-    assert np.array_equal(spectral.synthesize_many(strided, Q), _synthesize_reference(strided, Q))
+    strided_grid = spectral.synthesize_many(strided, Q)
+    assert np.array_equal(strided_grid, spectral.synthesize_many(strided.copy(), Q))
+    assert np.all(
+        np.abs(strided_grid - _synthesize_reference(strided, Q)) <= _dot_bound(strided)
+    )
 
     values = rng.standard_normal(lead + (Q,))
-    expect = _analyze_reference(values.copy(), M)
     kept = values.copy()
-    assert np.array_equal(spectral.analyze_many(values, M), expect)
-    assert np.array_equal(values, kept)  # overwrite=False leaves the input alone
-    assert np.array_equal(spectral.analyze_many(values, M, overwrite=True), expect)
+    got = spectral.analyze_many(values, M)
+    assert np.all(np.abs(got - _analyze_reference(kept, M)) <= _dot_bound(kept, 1 / Q))
+    assert np.array_equal(values, kept)
+
+
+@pytest.mark.parametrize("M, Q", [(32, 132), (8, 36)])
+def test_transform_row_does_not_depend_on_its_tile(rng, M, Q):
+    x, v = rng.standard_normal(M + 1), rng.standard_normal(Q)
+    alone_grid, alone_coeffs = spectral.synthesize_many(x, Q), spectral.analyze_many(v, M)
+    for r in range(spectral.TILE):
+        tile = rng.standard_normal((spectral.TILE, M + 1))
+        tile[r] = x
+        assert np.array_equal(spectral.synthesize_many(tile, Q)[r], alone_grid)
+        tile = rng.standard_normal((spectral.TILE, Q))
+        tile[r] = v
+        assert np.array_equal(spectral.analyze_many(tile, M)[r], alone_coeffs)
+
+
+# the transforms in a fresh interpreter limited to one BLAS thread
+_ONE_THREAD_PROBE = """
+import sys
+import numpy as np
+from chcsim import spectral
+out = {}
+for M, Q in ((32, 132), (8, 36)):
+    rng = np.random.default_rng(M)
+    out[f"s{M}"] = spectral.synthesize_many(rng.standard_normal((75, M + 1)), Q)
+    out[f"a{M}"] = spectral.analyze_many(rng.standard_normal((75, Q)), M)
+np.savez(sys.argv[1], **out)
+print("scipy.fft" in sys.modules)
+"""
+
+
+def test_transforms_equal_single_thread_blas(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    path = tmp_path / "one_thread.npz"
+    done = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_PROBE, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"  # the package does not load scipy.fft
+    single = np.load(path)
+    for M, Q in ((32, 132), (8, 36)):
+        rng = np.random.default_rng(M)
+        grid = spectral.synthesize_many(rng.standard_normal((75, M + 1)), Q)
+        assert np.array_equal(grid, single[f"s{M}"])
+        assert np.array_equal(spectral.analyze_many(rng.standard_normal((75, Q)), M), single[f"a{M}"])
 
 
 def test_seminorm_values():
