@@ -10,11 +10,10 @@ event, 4 assertion failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import runner
-from .config import parse_config
+from .config import parse_config, with_overrides
 from .dynamics import StiffEventError
 from .errors import ConfigError
 from .kinds import KINDS
@@ -36,9 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="path to a key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", default=None, help="override the worker threads")
 
     plot = sub.add_parser("plot", help="extract a plot-ready series from a run")
     plot.add_argument("--manifest", required=True)
@@ -65,12 +64,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"kind: config declares {cfg.kind!r} but the command was {args.command!r}"
             )
-        if args.seed is not None:
-            cfg = dataclasses.replace(
-                cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed)
-            )
-        if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=args.threads)
+        cfg = with_overrides(cfg, seed=args.seed, threads=args.threads)
         manifest = runner.run(cfg, override_out=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ One `key = value` pair per line, `#` comments, and repeated keys for lists
 ``KEYS`` is the one table of keys, in emitted order.  A key left out of the
 text is not passed on, so its default lives in its dataclass field alone;
 potential, lambda and N, which no field holds, default to poly, 0 and 0.
-parse_config_text validates with field-path diagnostics, the kind's own
-requirements taken from ``kinds.KINDS``; parse(emit(cfg)) == cfg exactly.
+parse_config_text validates with field-path diagnostics, the keys the kind
+reads and its own requirements taken from ``kinds.KINDS``;
+parse(emit(cfg)) == cfg exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -99,11 +100,14 @@ def _kind(field, raw, M):
     return raw
 
 
-def _seed(field, raw, M):
-    seed = _to_int(field, raw)
-    if not 0 <= seed < 2**64:
-        _fail(field, "must fit in 64 bits")
-    return seed
+def _int_in(lo, hi, message):
+    """A reader of integers lo <= k < hi."""
+    def read(field, raw, M):
+        k = _to_int(field, raw)
+        if not lo <= k < hi:
+            _fail(field, message)
+        return k
+    return read
 
 
 def _potential(field, raw, M):
@@ -171,7 +175,7 @@ KEYS = {
     "b": Key(_noise_entry, emit=lambda cfg: [f"{k}:{v!r}" for k, v in cfg.sim.cov.to_pairs()],
              many=True),
     "N": Key(_INT, "sim.cov.band"),
-    "seed": Key(_seed, "sim.seed", required=True),
+    "seed": Key(_int_in(0, 2**64, "must fit in 64 bits"), "sim.seed", required=True),
     "sup_guard": Key(_FLOAT, "sim.sup_guard"),
     "save_every": Key(_INT, "sim.save_every"),
     "max_halvings": Key(_INT, "sim.max_halvings"),
@@ -184,9 +188,16 @@ KEYS = {
     "radius": Key(_FLOAT, "radius"),
     "sweep_n": Key(_INT, "sweep_n", many=True),
     "out": Key(_TEXT, "out"),
-    "threads": Key(_INT, "threads"),
+    "threads": Key(_int_in(1, math.inf, "needs at least 1 worker thread"), "threads"),
     "save_states": Key(_BOOL, "save_states", emit=lambda cfg: str(cfg.save_states).lower()),
 }
+
+
+# keys a kind may set only if its KindSpec.reads names them; every SimConfig
+# key, x0, out and threads stay legal for every kind
+KIND_KEYS = ("replicas", "t", "observable", "y0", "burn_in", "radius", "sweep_n", "save_states")
+UNREAD = "does not read this key; leave it out"
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -245,6 +256,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
     cfg = ExperimentConfig(sim=sim, **exp_kw)
+    for name in KIND_KEYS:
+        attr = KEYS[name].attr
+        if name not in KINDS[cfg.kind].reads and getattr(cfg, attr) != _DEFAULTS[attr]:
+            _fail(name, f"kind {cfg.kind} {UNREAD}")
     for need in KINDS[cfg.kind].needs:
         if not need.ok(cfg):
             _fail(need.field, f"kind {cfg.kind} {need.message}")
@@ -317,6 +332,14 @@ def build_observable(spec: str, M: int, field: str = "observable") -> Observable
         else:
             args.append(_to_int(field, value) if t is int else _to_float(field, value))
     return factory(*args)
+
+
+def with_overrides(cfg: ExperimentConfig, **raw: str | None) -> ExperimentConfig:
+    """cfg with the keys whose raw text is not None set to it, read and
+    validated as config lines are (the command line's --seed and --threads)."""
+    raw = {k: v for k, v in raw.items() if v is not None}
+    kept = [line for line in emit_config(cfg).splitlines() if line.split(" = ")[0] not in raw]
+    return parse_config_text("\n".join(kept + [f"{k} = {v}" for k, v in raw.items()]))
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

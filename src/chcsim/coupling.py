@@ -229,13 +229,12 @@ def coupled_ensemble(
     Results are identical for any thread count (streams are keyed by the
     absolute pair index and outputs are written by index).
     """
-    kern = dynamics._Kernel(cfg, replicas, copies=2, band=_band_shift(cfg, N))
+    kern = dynamics.Engine(cfg, replicas, copies=2, band=_band_shift(cfg, N))
     starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
-    marks = dynamics.save_steps(cfg)
-    pos = {int(s): j for j, s in enumerate(marks)}
-    dist_path = np.empty((replicas, marks.size)) if record_dist_path else None
+    pos = dynamics.save_positions(cfg)
+    dist_path = np.empty((replicas, len(pos))) if record_dist_path else None
 
-    def record(span, step, states):
+    def record(span, step, states, *_):
         if dist_path is not None and step in pos:
             n = states.shape[0] // 2
             dist_path[span, pos[step]] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
@@ -244,7 +243,7 @@ def coupled_ensemble(
     if strict:
         kern.raise_failures("coupled pair(s)")
     return CoupledEnsemble(
-        times=marks * cfg.dt,
+        times=dynamics.save_steps(cfg) * cfg.dt,
         log_weight=kern.sums["log_weight"],
         int_w_sq=kern.sums["int_w_sq"],
         dist0=np.sqrt(spectral.seminorm_sq_many(starts[0] - starts[1], -1.0)),

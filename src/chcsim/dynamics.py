@@ -10,22 +10,24 @@ The stiff bi-Laplacian is inverted exactly per mode, so the linear part is
 unconditionally stable; mode 0 is untouched and mass conservation is exact
 in floating point.
 
-Every integration runs one step kernel over a (rows, M+1) batch in which each
-noise stream drives one row (paths, ensembles) or two stacked rows (pairs,
-coupled pairs).  A step tests the grid sup-norm against the guard per noise
-row and books its sums for accepted substeps only.  The Ito budget sums
-(trapezoid / left-point rule, as the energy-budget checks consume them) are
-booked by ``run_ensemble(..., record_budgets=True)`` alone; no path driver
-books them.  They never feed back into the step, so states are the same
-either way.  Callers pick an optional band drift shift with its Girsanov sums
-(``coupling``), a save-grid recorder, and a stiff-step policy:
+Every integration runs one step engine (``Engine``) over a (rows, M+1)
+batch in which each noise stream drives one row (paths, ensembles) or two
+stacked rows (pairs, coupled pairs).  A step tests the grid sup-norm against
+the guard per noise row.  The engine books only the Girsanov sums of an
+optional band drift shift (``coupling``), for accepted substeps only; each
+driver reads every step through its own record hook and picks a stiff-step
+policy:
 
 * paths and pairs (``simulate``, ``simulate_many``, ``simulate_pair``,
-  ``coupling.simulate_coupled``) retry a rejected row on halved substeps by
-  Brownian-bridge refinement of its increment, up to ``max_halvings`` deep,
-  then fail loudly;
+  ``coupling.simulate_coupled``) save states on the save grid; they retry a
+  rejected row on halved substeps by Brownian-bridge refinement of its
+  increment, up to ``max_halvings`` deep, then fail loudly;
 * ensembles (``run_ensemble``, ``coupling.coupled_ensemble``) mark the row
   failed at that step, park it at c e_0 and surface it, never silently NaN'd.
+  ``run_ensemble(..., record_budgets=True)`` alone books the Ito budget sums
+  (trapezoid / left-point rule, as the energy-budget checks consume them)
+  in its hook, for the steps a replica completed.  They never feed back into
+  the step, so states are the same either way.
 
 Noise row r draws its step normals in time blocks from stream (seed, r) and
 its bridge normals from ``noise.bridge_stream(seed, r)``, created at its
@@ -47,7 +49,7 @@ from .potential import PotentialSpec
 from .spectral import ModeVector
 
 MEAN_TOL = 1e-9
-# per-row sums a kernel books: ensemble budgets, coupling controls
+# per-row sums: run_ensemble's budgets, the engine's coupling controls
 BUDGET_KEYS = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
 CONTROL_KEYS = ("log_weight", "int_w_sq")
 # every trajectory's (column name, observable), in computed and written order
@@ -135,10 +137,73 @@ class Trajectory:
         return float(self.times[-1])
 
 
-class Engine:
-    """Precomputed arrays for stepping states of shape (..., M+1)."""
+def save_steps(cfg: SimConfig) -> np.ndarray:
+    """Step indices recorded on a trajectory: every save_every-th plus the end."""
+    idx = list(range(0, cfg.steps + 1, cfg.save_every))
+    if idx[-1] != cfg.steps:
+        idx.append(cfg.steps)
+    return np.asarray(idx, dtype=np.int64)
 
-    def __init__(self, cfg: SimConfig):
+
+def save_positions(cfg: SimConfig) -> dict[int, int]:
+    """{step: its position on the save grid} for every saved step."""
+    return {int(s): j for j, s in enumerate(save_steps(cfg))}
+
+
+def _tile_starts(x0, cfg: SimConfig, replicas: int) -> np.ndarray:
+    """The (R, M+1) starts: x0 is one start (a ModeVector or coefficients)
+    for every replica, or R per-replica starts; each must have mean c."""
+    arr = np.asarray(getattr(x0, "coeffs", x0), dtype=np.float64)
+    if arr.ndim == 1:
+        arr = np.tile(arr, (replicas, 1))
+    if arr.shape != (replicas, cfg.M + 1):
+        raise ValueError(f"starts must have shape ({replicas}, {cfg.M + 1}), got {arr.shape}")
+    if np.any(np.abs(arr[:, 0] - cfg.c) > MEAN_TOL):
+        raise ValueError(f"initial mean differs from configured c={cfg.c}")
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# the step kernel
+# ---------------------------------------------------------------------------
+
+
+def _noise_blocks(seed: int, ids, n_active: int, steps: int):
+    """Each step's (rows, n_active) standard normals; per row the sequence
+    equals per-step draws from its stream.
+
+    One step-major (block, rows, n_active) buffer of about 64 MB is allocated
+    once and refilled in place for each time block: row r draws its block
+    into a contiguous scratch array, which is copied into buf[:, r].  A
+    yielded step is a contiguous view of the buffer that stays valid until
+    the next refill, so a caller must be done with it when it asks for the
+    next step.
+    """
+    gens = [noise.stream(seed, r) for r in ids]
+    block = max(1, min(steps, 8_000_000 // max(1, len(gens) * n_active)))
+    buf = np.empty((block, len(gens), n_active))
+    scratch = np.empty((block, n_active))
+    for lo in range(0, steps, block):
+        nb = min(block, steps - lo)
+        for r, gen in enumerate(gens):
+            buf[:nb, r] = gen.standard_normal(out=scratch[:nb])
+        yield from buf[:nb]
+
+
+class Engine:
+    """The one semi-implicit step (see the module docstring) over `rows` noise
+    rows, with its precomputed arrays.
+
+    A span of n noise rows holds `copies` stacked blocks of n state rows;
+    noise row r drives state rows r, r + n, ... and draws from stream r.
+    band = (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy
+    1 and books the Girsanov sums, the engine's only sums; retry selects the
+    bridge policy over marking failures.  sums, failed, retries and alive
+    are per noise row.  ``run_ensemble``'s record hook books the budgets.
+    """
+
+    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, retry: bool = False,
+                 band=None):
         self.cfg = cfg
         self.Q = cfg.grid_size
         self.alpha = spectral.eigenvalues(cfg.M)
@@ -158,6 +223,14 @@ class Engine:
         self.grad_mat = (
             spectral.gradient_matrix(cfg.M, self.Q) if spec.is_truncated else None
         )
+        self.copies = copies
+        self.retry = retry
+        self.band = band
+        self.sums = {k: np.zeros(rows) for k in CONTROL_KEYS} if band is not None else {}
+        self.failed = np.full(rows, -1, dtype=np.int64)
+        self.retries = np.zeros(rows, dtype=np.int64)
+        self.alive = np.ones(rows, dtype=bool)
+        self._bridges: dict[int, np.random.Generator] = {}
 
     def denom(self, dt: float) -> np.ndarray:
         d = self._denoms.get(dt)
@@ -190,7 +263,7 @@ class Engine:
         num /= self.denom(dt)
         return num
 
-    # -- budget integrands ------------------------------------------------
+    # -- budget integrands, read by run_ensemble's hook -------------------
 
     def h_integrands(self, states: np.ndarray, grids: np.ndarray | None):
         """(|X|_1^2, |X|_2^2, gradient functional integrand) for each row."""
@@ -217,108 +290,33 @@ class Engine:
         m0 = 2.0 * np.einsum("...k,...k->...", states, eta)
         return m1, m0
 
-
-def _as_state_array(x0, M: int) -> np.ndarray:
-    if isinstance(x0, ModeVector):
-        arr = x0.coeffs
-    else:
-        arr = np.asarray(x0, dtype=np.float64)
-    if arr.shape[-1] != M + 1:
-        raise ValueError(f"state has {arr.shape[-1]} coefficients, expected {M + 1}")
-    return arr.copy()
-
-
-def _check_mean(arr: np.ndarray, c: float):
-    if np.any(np.abs(arr[..., 0] - c) > MEAN_TOL):
-        raise ValueError(f"initial mean differs from configured c={c}")
-
-
-def save_steps(cfg: SimConfig) -> np.ndarray:
-    """Step indices recorded on a trajectory: every save_every-th plus the end."""
-    idx = list(range(0, cfg.steps + 1, cfg.save_every))
-    if idx[-1] != cfg.steps:
-        idx.append(cfg.steps)
-    return np.asarray(idx, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# the step kernel
-# ---------------------------------------------------------------------------
-
-
-def _noise_blocks(seed: int, ids, n_active: int, steps: int):
-    """Each step's (rows, n_active) standard normals; per row the sequence
-    equals per-step draws from its stream.
-
-    One step-major (block, rows, n_active) buffer of about 64 MB is allocated
-    once and refilled in place for each time block: row r draws its block
-    into a contiguous scratch array, which is copied into buf[:, r].  A
-    yielded step is a contiguous view of the buffer that stays valid until
-    the next refill, so a caller must be done with it when it asks for the
-    next step.
-    """
-    gens = [noise.stream(seed, r) for r in ids]
-    block = max(1, min(steps, 8_000_000 // max(1, len(gens) * n_active)))
-    buf = np.empty((block, len(gens), n_active))
-    scratch = np.empty((block, n_active))
-    for lo in range(0, steps, block):
-        nb = min(block, steps - lo)
-        for r, gen in enumerate(gens):
-            buf[:nb, r] = gen.standard_normal(out=scratch[:nb])
-        yield from buf[:nb]
-
-
-class _Kernel:
-    """The one semi-implicit step (see the module docstring).
-
-    A span of n noise rows holds `copies` stacked blocks of n state rows;
-    noise row r drives state rows r, r + n, ...  The parts: band =
-    (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy 1 and
-    books the Girsanov sums; retry selects the bridge policy over marking
-    failures; budgets books the budget sums (one copy only).  Path drivers
-    (``_run_paths``) retry and never book budgets; ``run_ensemble`` marks
-    failures and books them on request, so bridged substeps carry no budget
-    integrands.  sums, failed and retries are per noise row; row r uses
-    stream r.
-    """
-
-    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, retry: bool = False,
-                 band=None, budgets: bool = False):
-        self.cfg = cfg
-        self.eng = Engine(cfg)
-        self.copies = copies
-        self.retry = retry
-        self.band = band
-        self.budgets = budgets
-        keys = (BUDGET_KEYS if budgets else ()) + (CONTROL_KEYS if band is not None else ())
-        self.sums = {k: np.zeros(rows) for k in keys}
-        self.failed = np.full(rows, -1, dtype=np.int64)
-        self.retries = np.zeros(rows, dtype=np.int64)
-        self.alive = np.ones(rows, dtype=bool)
-        self._bridges: dict[int, np.random.Generator] = {}
-
     def run(self, starts: np.ndarray, record, threads: int = 1) -> np.ndarray:
         """Integrate starts (copies, rows, M+1) over cfg.steps, the rows split
         into one span per thread; returns the final states.
 
-        record(span, step, states) sees each span's batch at the start and
-        after every step.  Results do not depend on the thread count.
+        record(span, step, states, grids, eta) sees each span's batch, its
+        grids (None without a potential) and the step's increments per noise
+        row (None at step 0), at the start and after every step; eta is
+        overwritten by the next step.  Results do not depend on the thread
+        count.
         """
-        cfg, eng = self.cfg, self.eng
+        cfg = self.cfg
         final = np.empty_like(starts)
 
         def span_run(lo, hi):
             span = slice(lo, hi)
-            normals = _noise_blocks(cfg.seed, range(lo, hi), eng.active.size, cfg.steps)
+            normals = _noise_blocks(cfg.seed, range(lo, hi), self.active.size, cfg.steps)
             states = starts[:, span].reshape(-1, cfg.M + 1)
-            grids = self.start(states, lo)
-            h = eng.h_integrands(states, grids) if self.budgets else None
-            record(span, 0, states)
+            grids = self.grid(states) if self.needs_grid else None
+            if grids is not None and not (ok := self.sup_ok(grids)).all():
+                raise StiffEventError("initial state exceeds the sup-norm guard",
+                                      failed_replicas=np.flatnonzero(~ok) + lo)
+            record(span, 0, states, grids, None)
             eta = np.zeros((hi - lo, cfg.M + 1))  # only the band columns change
             for step, xi in enumerate(normals, 1):
-                eng.scatter_noise(xi, cfg.dt, eta)
-                states, grids, h = self.substep(span, states, grids, h, eta, cfg.dt, step)
-                record(span, step, states)
+                self.scatter_noise(xi, cfg.dt, eta)
+                states, grids = self.substep(span, states, grids, eta, cfg.dt, step)
+                record(span, step, states, grids, eta)
             final[:, span] = states.reshape(self.copies, hi - lo, -1)
 
         n = min(max(1, int(threads)), starts.shape[1])
@@ -333,28 +331,13 @@ class _Kernel:
     def sup_ok(self, grids: np.ndarray) -> np.ndarray:
         """Per noise row: every copy's grid stays within the guard (NaN fails)."""
         sup = np.maximum(grids.max(axis=-1), -grids.min(axis=-1)).reshape(self.copies, -1)
-        return np.all(sup <= self.eng.guard, axis=0)
+        return np.all(sup <= self.guard, axis=0)
 
-    def start(self, states: np.ndarray, lo: int = 0):
-        """Grids of a starting span; raises when a row starts beyond the guard."""
-        if not self.eng.needs_grid:
-            return None
-        grids = self.eng.grid(states)
-        ok = self.sup_ok(grids)
-        if not ok.all():
-            raise StiffEventError(
-                "initial state exceeds the sup-norm guard",
-                failed_replicas=np.flatnonzero(~ok) + lo,
-            )
-        return grids
-
-    def substep(self, rows, states, grids, h, eta, dt, step, depth=0):
+    def substep(self, rows, states, grids, eta, dt, step, depth=0):
         """Advance noise rows `rows` (a span slice or an index array) by dt
-        with increments eta; returns the new states, grids and budget
-        integrands (None unless budgets are booked)."""
-        eng = self.eng
+        with increments eta; returns the new states and grids."""
         k = eta.shape[0]
-        nl = eng.nonlin_modes(grids) if eng.needs_grid else None
+        nl = self.nonlin_modes(grids) if self.needs_grid else None
         if self.band is not None:
             lam, alpha_band, sqrt_b = self.band
             band = slice(1, alpha_band.size + 1)
@@ -365,8 +348,8 @@ class _Kernel:
                     nl = np.zeros_like(states)
                 nl[:k, band] -= lam * y_band
         eta_rows = eta if self.copies == 1 else np.concatenate([eta] * self.copies)
-        cand = eng.advance(states, eta_rows, dt, nl)
-        cand_grids = eng.grid(cand) if eng.needs_grid else None
+        cand = self.advance(states, eta_rows, dt, nl)
+        cand_grids = self.grid(cand) if self.needs_grid else None
 
         ok = None
         if cand_grids is not None:
@@ -379,7 +362,7 @@ class _Kernel:
             rejected = np.flatnonzero(~ok)
             sub = np.concatenate([rejected + c * k for c in range(self.copies)])
             if self.retry:
-                cand[sub], cand_grids[sub], _ = self._bisect(
+                cand[sub], cand_grids[sub] = self._bisect(
                     np.arange(self.failed.size)[rows][rejected], sub,
                     states, grids, eta[rejected], dt, step, depth,
                 )
@@ -390,34 +373,29 @@ class _Kernel:
                 cand[sub, 0] = self.cfg.c
                 cand_grids[sub] = self.cfg.c
 
-        hn = eng.h_integrands(cand, cand_grids) if self.budgets else None
-        booked = {}
-        if self.budgets:  # trapezoid integrals, then left-point martingales
-            booked = {key: (a + b) * (0.5 * dt) for key, a, b in zip(BUDGET_KEYS, h, hn)}
-            booked["mart_m1"], booked["mart_0"] = eng.mart_weights(states, eta)
-        if self.band is not None:
+        if self.band is not None:  # the Girsanov sums of accepted substeps
             w_sq = np.einsum("rk,rk->r", w, w)
             dW_band = eta[:, band] / sqrt_b
-            booked["log_weight"] = np.einsum("rk,rk->r", w, dW_band) - 0.5 * w_sq * dt
-            booked["int_w_sq"] = w_sq * dt
-        for key, value in booked.items():
-            self.sums[key][rows] += value if ok is None else np.where(ok, value, 0.0)
-        return cand, cand_grids, hn
+            booked = {"log_weight": np.einsum("rk,rk->r", w, dW_band) - 0.5 * w_sq * dt,
+                      "int_w_sq": w_sq * dt}
+            for key, value in booked.items():
+                self.sums[key][rows] += value if ok is None else np.where(ok, value, 0.0)
+        return cand, cand_grids
 
     def _bisect(self, rows, sub, states, grids, eta, dt, step, depth):
         """Re-run noise rows `rows` (state rows `sub` of the batch) on two
         halved substeps whose increments bridge the rejected eta."""
         if depth >= self.cfg.max_halvings:
             raise StiffEventError(
-                f"grid sup-norm exceeded guard {self.eng.guard} after "
+                f"grid sup-norm exceeded guard {self.guard} after "
                 f"{self.cfg.max_halvings} halvings of dt={self.cfg.dt}"
             )
         self.retries[rows] += 1
-        xi = np.array([self._bridge(int(r)).standard_normal(self.eng.active.size) for r in rows])
-        bridge = self.eng.scatter_noise(xi, 1.0, np.zeros(eta.shape))
+        xi = np.array([self._bridge(int(r)).standard_normal(self.active.size) for r in rows])
+        bridge = self.scatter_noise(xi, 1.0, np.zeros(eta.shape))
         half = 0.5 * eta + 0.5 * math.sqrt(dt) * bridge
-        mid = self.substep(rows, states[sub], grids[sub], None, half, 0.5 * dt, step, depth + 1)
-        return self.substep(rows, *mid[:2], None, eta - half, 0.5 * dt, step, depth + 1)
+        mid = self.substep(rows, states[sub], grids[sub], half, 0.5 * dt, step, depth + 1)
+        return self.substep(rows, *mid, eta - half, 0.5 * dt, step, depth + 1)
 
     def _bridge(self, r: int) -> np.random.Generator:
         if r not in self._bridges:
@@ -439,17 +417,16 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, band=Non
     """Integrate starts (copies, R, M+1) with stiff retries, saving every state
     row on the save grid.
 
-    Returns the kernel, the saved states (copies, R, S, M+1) and, with a band
+    Returns the engine, the saved states (copies, R, S, M+1) and, with a band
     shift, the running Girsanov sums on the save grid, name -> (R, S).
     """
-    marks = save_steps(cfg)
-    pos = {int(s): j for j, s in enumerate(marks)}
+    pos = save_positions(cfg)
     copies, R, K = starts.shape
-    saved = np.empty((copies, R, marks.size, K))
-    running = {k: np.empty((R, marks.size)) for k in CONTROL_KEYS} if band else {}
-    kern = _Kernel(cfg, R, copies=copies, retry=True, band=band)
+    saved = np.empty((copies, R, len(pos), K))
+    running = {k: np.empty((R, len(pos))) for k in CONTROL_KEYS} if band else {}
+    kern = Engine(cfg, R, copies=copies, retry=True, band=band)
 
-    def record(span, step, states):
+    def record(span, step, states, *_):
         j = pos.get(step)
         if j is not None:
             saved[:, span, j] = states.reshape(copies, -1, K)
@@ -478,7 +455,7 @@ def simulate_many(x_list, cfg: SimConfig, *, threads: int = 1) -> list[Trajector
     Trajectory i equals ``simulate`` of start i on stream i bit for bit,
     stiff retries included, for any thread count.
     """
-    starts = _tile_starts(np.stack([_as_state_array(x, cfg.M) for x in x_list]), cfg, len(x_list))
+    starts = _tile_starts([getattr(x, "coeffs", x) for x in x_list], cfg, len(x_list))
     kern, saved, _ = _run_paths(cfg, starts[None], threads=threads)
     return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
 
@@ -508,17 +485,6 @@ def simulate_pair(
 # ---------------------------------------------------------------------------
 # batched ensembles
 # ---------------------------------------------------------------------------
-
-
-def _tile_starts(x0, cfg: SimConfig, replicas: int) -> np.ndarray:
-    """One start for every replica, or an (R, M+1) batch of per-replica starts."""
-    arr = _as_state_array(x0, cfg.M)
-    if arr.ndim == 1:
-        arr = np.tile(arr, (replicas, 1))
-    if arr.shape != (replicas, cfg.M + 1):
-        raise ValueError(f"starts must have shape ({replicas}, {cfg.M + 1})")
-    _check_mean(arr, cfg.c)
-    return arr
 
 
 @dataclass
@@ -554,31 +520,43 @@ def run_ensemble(
     per-replica starts.  Stream r is keyed by (cfg.seed, r),
     so results are bit-identical for any thread count.  With strict=True a
     stiff replica aborts the run; otherwise it is surfaced in failed_step.
+    record_budgets books the five budget sums over the steps each replica
+    completed (see the module docstring).
     """
     starts = _tile_starts(x0, cfg, replicas)
-    marks = save_steps(cfg)
-    pos = {int(s): j for j, s in enumerate(marks)}
+    pos = save_positions(cfg)
     snapshots = {s: np.empty((replicas, cfg.M + 1)) for s in sorted(set(map(int, snap_steps)))}
     for s in snapshots:
         if not 0 <= s <= cfg.steps:
             raise ValueError(f"snapshot step {s} outside 0..{cfg.steps}")
-    norm_m1_sq = np.empty((replicas, marks.size)) if record_norm_path else None
+    norm_m1_sq = np.empty((replicas, len(pos))) if record_norm_path else None
+    kern = Engine(cfg, replicas)
+    budgets = {k: np.zeros(replicas) for k in BUDGET_KEYS} if record_budgets else {}
+    last = {}  # span start -> (states, integrands) of the step before
 
-    def record(span, step, states):
+    def record(span, step, states, grids, eta):
         if norm_m1_sq is not None and step in pos:
             norm_m1_sq[span, pos[step]] = spectral.seminorm_sq_many(states, -1.0)
         if step in snapshots:
             snapshots[step][span] = states
+        if budgets:
+            h = kern.h_integrands(states, grids)
+            if eta is not None:  # trapezoid integrals, then left-point martingales
+                prev, h_prev = last[span.start]
+                booked = {k: (a + b) * (0.5 * cfg.dt) for k, a, b in zip(BUDGET_KEYS, h_prev, h)}
+                booked["mart_m1"], booked["mart_0"] = kern.mart_weights(prev, eta)
+                for key, value in booked.items():  # not the step a replica fails at, nor later
+                    budgets[key][span] += np.where(kern.alive[span], value, 0.0)
+            last[span.start] = states, h
 
-    kern = _Kernel(cfg, replicas, budgets=record_budgets)
     final = kern.run(starts[None], record, threads)
     if strict:
         kern.raise_failures("replica(s)")
     return EnsembleResult(
-        times=marks * cfg.dt,
+        times=save_steps(cfg) * cfg.dt,
         final=final[0],
         failed_step=kern.failed,
         norm_m1_sq=norm_m1_sq,
-        budgets=kern.sums,
+        budgets=budgets,
         snapshots=snapshots,
     )

@@ -1,7 +1,7 @@
-"""The experiment kinds: one table says what each needs, draws, writes and checks.
+"""The experiment kinds: one table says what each reads, needs, draws, writes and checks.
 
 ``KINDS`` maps a kind name to its ``KindSpec``.  ``config`` validates a
-config against the entry's requirements, ``cli`` builds one subcommand per
+config against the entry's keys and requirements, ``cli`` builds one subcommand per
 entry, and ``runner`` calls the entry's ``run`` and records its stream
 count.  Adding a kind means adding one entry (and its ``configs/<kind>.cfg``).
 
@@ -40,7 +40,6 @@ BAND = Need(  # the spectral-gap condition of coupling.contraction_rate
     lambda cfg: spectral.eigenvalue(cfg.sim.cov.band + 1) > cfg.sim.potential.lam,
     "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band",
 )
-AT_HORIZON = Need("t", lambda cfg: not cfg.times, "evaluates at T; drop the t lines")
 HORIZON_TIMES = Need(
     "t",
     lambda cfg: bool(cfg.times) and min(cfg.times) >= cfg.sim.dt and max(cfg.times) <= cfg.sim.T,
@@ -102,11 +101,14 @@ class KindSpec:
              kind one per start; every ensemble kind one per replica,
              reused across its starts, orders or paired runs.
     needs:   requirements checked at parse time, in order.
+    reads:   the keys of ``config.KIND_KEYS`` its run reads; config rejects
+             the others unless they hold their defaults.
     """
 
     run: Callable
     streams: Callable = one_stream
     needs: tuple = ()
+    reads: tuple = ()
 
 
 def _write_trajectory(out, name: str, traj: dynamics.Trajectory):
@@ -306,13 +308,16 @@ def _lintest(cfg, states, y_state, phis, out):
 
 
 KINDS = {
-    "simulate": KindSpec(_simulate),
-    "pair": KindSpec(_pair, needs=(Y0,)),
-    "couple": KindSpec(_couple, needs=(Y0, BAND)),
-    "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS)),
-    "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, HORIZON_TIMES)),
-    "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS, SAMPLES)),
-    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, AT_HORIZON, RADIUS)),
-    "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, AT_HORIZON, POLY)),
-    "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF)),
+    "simulate": KindSpec(_simulate, reads=("save_states",)),
+    "pair": KindSpec(_pair, needs=(Y0,), reads=("y0",)),
+    "couple": KindSpec(_couple, needs=(Y0, BAND), reads=("y0",)),
+    "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS), ("replicas", "y0")),
+    "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, HORIZON_TIMES),
+                    ("replicas", "t", "observable", "y0")),
+    "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS, SAMPLES), ("observable", "burn_in")),
+    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, RADIUS),
+                               ("replicas", "radius")),
+    "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, POLY),
+                       ("replicas", "observable", "sweep_n")),
+    "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF), ("replicas",)),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -304,7 +305,7 @@ def test_noise_blocks_refill_one_buffer():
 
 def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
     cfg = make_cfg(M=8, sup_guard=1.0)
-    kern = dynamics._Kernel(cfg, 4)
+    kern = dynamics.Engine(cfg, 4)
     grids = rng.uniform(-1.2, 1.2, size=(4, cfg.grid_size))
     grids[2] = rng.uniform(-0.5, 0.5, size=cfg.grid_size)
     grids[2, 7] = -0.99
@@ -313,13 +314,13 @@ def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
     assert np.array_equal(ok, np.max(np.abs(grids), axis=-1) <= cfg.sup_guard)
     assert ok[2] and not ok[3]
     # two copies: noise row r is state rows r and r + 2
-    pair = dynamics._Kernel(cfg, 2, copies=2)
+    pair = dynamics.Engine(cfg, 2, copies=2)
     assert np.array_equal(pair.sup_ok(grids), [ok[0] and ok[2], False])
 
 
 def test_scatter_noise_overwrites_band_columns_only(rng):
     cfg = make_cfg(M=8, cov=band_cov(8, [(1, 1.0), (3, 0.5)], 1))
-    eng = dynamics.Engine(cfg)
+    eng = dynamics.Engine(cfg, 4)
     assert eng.active.tolist() == [1, 3]
     out = np.zeros((4, cfg.M + 1))
     for _ in range(2):
@@ -342,10 +343,35 @@ def test_gapped_band_ensemble_ignores_threads_and_matches_simulate():
         assert np.array_equal(runs[0].budgets[name], runs[1].budgets[name])
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_failed_replica_books_only_its_completed_steps(threads):
+    # lam = 60 at n = 0 grows mode 1 deterministically: the larger starts fail first
+    cfg = make_cfg(M=8, dt=1e-2, T=0.1, cov=standard_cov(8), n=0, lam=60.0, sup_guard=1.0,
+                   seed=3)
+    x0 = np.zeros((6, cfg.M + 1))
+    x0[:, 1] = np.linspace(0.0, 0.5, 6)
+
+    def budgets(cfg):
+        res = dynamics.run_ensemble(x0, cfg, 6, record_budgets=True, strict=False,
+                                    threads=threads)
+        return res.failed_step, res.budgets
+
+    failed, booked = budgets(cfg)
+    assert failed.tolist() == [4, 4, 2, 1, 1, 1]
+    for r, s in enumerate(failed):
+        if s == 1:
+            expected = {name: 0.0 for name in dynamics.BUDGET_KEYS}
+        else:  # the same run stopped at the last step the replica completed
+            _, short = budgets(dataclasses.replace(cfg, T=(s - 1) * cfg.dt))
+            expected = {name: short[name][r] for name in dynamics.BUDGET_KEYS}
+        for name in dynamics.BUDGET_KEYS:
+            assert np.array_equal(booked[name][r], expected[name]), (r, name)
+
+
 @pytest.mark.parametrize("n", [1, 4])
 def test_h_integrands_equal_seminorms_and_the_plain_formula(rng, n):
     cfg = make_cfg(M=16, n=n)
-    eng = dynamics.Engine(cfg)
+    eng = dynamics.Engine(cfg, 5)
     states = 0.1 * rng.standard_normal((5, cfg.M + 1))
     grids = eng.grid(states)
     h1, h2, gg = eng.h_integrands(states, grids)

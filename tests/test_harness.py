@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from chcsim import cli, dynamics, kinds, runner
+from chcsim import cli, config, dynamics, kinds, runner
 from chcsim.config import (
     KEYS,
     ConfigError,
@@ -106,6 +106,13 @@ def test_threads_default_ignores_environment(monkeypatch):
     assert config_hash(parse_config_text(MINIMAL)) == hash_before
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_rejected(threads):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINIMAL + f"threads = {threads}\n")
+    assert str(err.value) == "threads: needs at least 1 worker thread"
+
+
 def test_kind_specific_validation():
     with pytest.raises(ConfigError, match="y0"):
         parse_config_text(MINIMAL.replace("kind = simulate", "kind = couple"))
@@ -123,9 +130,9 @@ def example_text(kind):
         return fh.read()
 
 
-def _drop(text, key):
+def _drop(text, *keys):
     return "".join(
-        line for line in text.splitlines(keepends=True) if line.split("=")[0].strip() != key
+        line for line in text.splitlines(keepends=True) if line.split("=")[0].strip() not in keys
     )
 
 
@@ -144,7 +151,6 @@ BREAK = {
     kinds.BAND: lambda text: _set(_set(text, "lambda", "60"), "N", "0"),
     kinds.REPLICAS: lambda text: _set(text, "replicas", "1"),
     kinds.HORIZON_TIMES: lambda text: _drop(text, "t"),
-    kinds.AT_HORIZON: lambda text: text + "t = 0.5\n",  # even a t equal to T
     kinds.STARTS: lambda text: _keep_first(text, "x0"),
     kinds.ORDERS: lambda text: _keep_first(text, "sweep_n"),
     kinds.POLY: lambda text: _set(text, "potential", "exact"),
@@ -182,11 +188,11 @@ def test_kind_requirement_rejected_with_field(kind, need):
                                      ("nsweep", "0")])
 def test_evaluation_time_outside_range_rejected(kind, t):
     # asf takes its t lines in dt..T; irreducibility and nsweep evaluate at T
-    # and take none
-    (need,) = [need for need in KINDS[kind].needs if need.field == "t"]
+    # and read none
+    message = kinds.HORIZON_TIMES.message if "t" in KINDS[kind].reads else config.UNREAD
     with pytest.raises(ConfigError) as err:
         parse_config_text(_set(example_text(kind), "t", t))
-    assert str(err.value) == f"t: kind {kind} {need.message}"
+    assert str(err.value) == f"t: kind {kind} {message}"
 
 
 @pytest.mark.parametrize("kind", ["irreducibility", "nsweep"])
@@ -195,6 +201,40 @@ def test_second_evaluation_time_rejected(kind):
     with pytest.raises(ConfigError) as err:
         parse_config_text(example_text(kind) + "t = 0.25\n")
     assert str(err.value).startswith(f"t: kind {kind} ")
+
+
+# a value away from its default for each key a kind may leave unread
+UNREAD_VALUES = {
+    "replicas": "9", "t": "0.05", "observable": "mean", "y0": "const", "burn_in": "2",
+    "radius": "0.7", "sweep_n": "3", "save_states": "true",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        pytest.param(kind, key, id=f"{kind}-{key}")
+        for kind in sorted(KINDS)
+        for key in config.KIND_KEYS
+        if key not in KINDS[kind].reads
+    ],
+)
+def test_unread_key_rejected(kind, key):
+    # such a key would change the config hash and nothing the run does
+    text = example_text(kind)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(_set(text, key, UNREAD_VALUES[key]))
+    assert str(err.value) == f"{key}: kind {kind} {config.UNREAD}"
+    # written at its default it changes nothing, so it parses (emit_config writes it)
+    default = config.KEYS[key].written(parse_config_text(MINIMAL))
+    if default:
+        assert parse_config_text(_set(text, key, default[0])) == parse_config_text(text)
+
+
+def test_every_kind_key_is_read_by_some_kind():
+    assert set(config.KIND_KEYS) == {key for spec in KINDS.values() for key in spec.reads}
+    for spec in KINDS.values():
+        assert set(spec.reads) <= set(config.KIND_KEYS)
 
 
 def _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, field):
@@ -211,6 +251,36 @@ def test_cli_band_too_small_exits_2_without_run_directory(tmp_path, capsys, kind
     _cli_exits_2_without_run_directory(
         tmp_path, capsys, kind, BREAK[BAND](example_text(kind)), "N"
     )
+
+
+@pytest.mark.parametrize("kind, key, value", [("simulate", "radius", "0.7"),
+                                             ("irreducibility", "t", "0.5")])
+def test_cli_unread_key_exits_2_without_run_directory(tmp_path, capsys, kind, key, value):
+    text = _set(example_text(kind), key, value)
+    _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, key)
+
+
+@pytest.mark.parametrize(
+    "option, value, field",
+    [("--seed", "-1", "seed"), ("--seed", str(2**64 + 5), "seed"), ("--threads", "0", "threads")],
+)
+def test_cli_bad_override_exits_2_without_run_directory(tmp_path, capsys, option, value, field):
+    # overrides are read as config lines are: parse(emit(c)) == c must hold for the manifest
+    runs = tmp_path / "runs"
+    path = write_cfg(tmp_path, example_text("pair"))
+    assert cli.main(["pair", "--config", path, "--out", str(runs), option, value]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not runs.exists()
+
+
+def test_cli_overrides_enter_the_config_text(tmp_path, capsys):
+    path = write_cfg(tmp_path, example_text("pair"))
+    argv = ["pair", "--config", path, "--out", str(tmp_path), "--seed", "5", "--threads", "2"]
+    assert cli.main(argv) == 0
+    with open(capsys.readouterr().out.strip().splitlines()[-1]) as fh:
+        manifest = json.load(fh)
+    cfg = parse_config_text(manifest["config"])
+    assert (cfg.sim.seed, cfg.threads) == (5, 2) and manifest["seed"] == 5
 
 
 # (kind, key, value, field): each parsed cleanly and then failed inside the run
@@ -232,14 +302,15 @@ def test_cli_bad_field_exits_2_without_run_directory(tmp_path, capsys, kind, key
 
 
 def test_config_round_trip():
-    text = MINIMAL + "y0 = gaussian:0.5\nt = 0.1\nt = 0.2\nobservable = mode:1:2\n"
-    cfg = parse_config_text(text.replace("kind = simulate", "kind = pair"))
+    text = MINIMAL + "replicas = 4\ny0 = gaussian:0.5\nt = 0.1\nt = 0.2\nobservable = mode:1:2\n"
+    cfg = parse_config_text(text.replace("kind = simulate", "kind = asf"))
     again = parse_config_text(emit_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
 
 
-# every key of the table, in emitted order, each away from its default
+# every key of the table, in emitted order, each away from its default; each
+# kind keeps the keys of config.KIND_KEYS it reads
 EVERY_KEY = """kind = pair
 M = 16
 Q = 40
@@ -264,7 +335,7 @@ observable = tanh:1
 x0 = gaussian:0.3
 x0 = modes:1=0.1,2=-0.05
 y0 = modes:3=0.2
-burn_in = 0.2
+burn_in = 0.1
 radius = 0.05
 sweep_n = 1
 sweep_n = 5
@@ -281,15 +352,29 @@ def test_every_key_round_trips(potential):
         text = _drop(text, "n")
     if potential == "off":
         text = text.replace("lambda = 2.5", "lambda = 0")
-    cfg = parse_config_text(text)
-    # a reader and its emitter that disagree change the text or the config
-    assert emit_config(cfg) == text
-    assert parse_config_text(emit_config(cfg)) == cfg
+    # the kinds whose potential need this potential meets
+    ran = [kind for kind, spec in KINDS.items()
+           if (kinds.POLY not in spec.needs or potential == "poly")
+           and (kinds.OFF not in spec.needs or potential == "off")]
+    parsed, written = [], set()
+    for kind in ran:
+        unread = set(config.KIND_KEYS) - set(KINDS[kind].reads)
+        kind_text = _drop(text.replace("kind = pair", f"kind = {kind}"), *unread)
+        cfg = parse_config_text(kind_text)
+        # a reader and its emitter that disagree change the text or the config;
+        # emit_config also writes the unread keys, at their defaults
+        assert _drop(emit_config(cfg), *unread) == kind_text
+        assert parse_config_text(emit_config(cfg)) == cfg
+        parsed.append(cfg)
+        written |= {line.split(" = ")[0] for line in kind_text.splitlines()}
     assert {line.split(" = ")[0] for line in EVERY_KEY.splitlines()} == set(KEYS)
-    for obj in (cfg, cfg.sim):
-        for f in dataclasses.fields(obj):
-            if f.default is not dataclasses.MISSING:
-                assert getattr(obj, f.name) != f.default, f.name
+    # without poly there is no n, and nsweep, the one kind to read sweep_n, needs poly
+    uncarried = set() if potential == "poly" else {"n", "sweep_n"}
+    assert written == set(KEYS) - uncarried
+    for objs in (parsed, [cfg.sim for cfg in parsed]):
+        for f in dataclasses.fields(objs[0]):
+            if f.default is not dataclasses.MISSING and f.name not in uncarried:
+                assert any(getattr(obj, f.name) != f.default for obj in objs), f.name
 
 
 def test_build_state_variants():
