@@ -214,7 +214,7 @@ class Engine:
         self.sqrt_b_active = np.sqrt(cfg.cov.b[self.active])
         self.inv_alpha = np.zeros(cfg.M + 1)
         self.inv_alpha[1:] = 1.0 / self.alpha[1:]
-        self._denoms: dict[float, np.ndarray] = {}
+        self._per_dt: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         spec = cfg.potential
         self.guard = cfg.sup_guard
         if spec.is_exact:
@@ -232,12 +232,13 @@ class Engine:
         self.alive = np.ones(rows, dtype=bool)
         self._bridges: dict[int, np.random.Generator] = {}
 
-    def denom(self, dt: float) -> np.ndarray:
-        d = self._denoms.get(dt)
-        if d is None:
-            d = 1.0 + 0.5 * dt * self.alpha_sq
-            self._denoms[dt] = d
-        return d
+    def per_dt(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(1 + (dt/2) alpha^2, (dt/2) alpha): the step's divisor and the
+        nonlinearity's scale, computed once per step size."""
+        pair = self._per_dt.get(dt)
+        if pair is None:
+            pair = self._per_dt[dt] = (1.0 + 0.5 * dt * self.alpha_sq, (0.5 * dt) * self.alpha)
+        return pair
 
     def grid(self, states: np.ndarray) -> np.ndarray:
         return spectral.synthesize_many(states, self.Q)
@@ -257,10 +258,14 @@ class Engine:
     def advance(
         self, states: np.ndarray, eta: np.ndarray, dt: float, nl: np.ndarray | None
     ) -> np.ndarray:
+        """The semi-implicit step; nl, the step's own analysed nonlinearity,
+        is scaled in place."""
+        denom, scale = self.per_dt(dt)
         num = states + eta
         if nl is not None:
-            num += nl * ((0.5 * dt) * self.alpha)
-        num /= self.denom(dt)
+            nl *= scale
+            num += nl
+        num /= denom
         return num
 
     # -- budget integrands, read by run_ensemble's hook -------------------

@@ -48,6 +48,12 @@ HORIZON_TIMES = Need(
 RADIUS = Need("radius", lambda cfg: cfg.radius > 0, "needs a positive radius")
 REPLICAS = Need("replicas", lambda cfg: cfg.replicas >= 2, "needs at least 2 replicas")
 STARTS = Need("x0", lambda cfg: len(cfg.x0) >= 2, "needs at least two starts (repeat the x0 key)")
+# a second start or observable would enter the hash (and move y0's stream
+# slot) of a kind that runs only the first
+ONE_START = Need("x0", lambda cfg: len(cfg.x0) == 1, "takes one start")
+ONE_OBSERVABLE = Need(
+    "observable", lambda cfg: len(cfg.observables) <= 1, "takes one observable"
+)
 ORDERS = Need(
     "sweep_n", lambda cfg: len(cfg.sweep_n) >= 2, "needs at least two truncation orders"
 )
@@ -308,16 +314,18 @@ def _lintest(cfg, states, y_state, phis, out):
 
 
 KINDS = {
-    "simulate": KindSpec(_simulate, reads=("save_states",)),
-    "pair": KindSpec(_pair, needs=(Y0,), reads=("y0",)),
-    "couple": KindSpec(_couple, needs=(Y0, BAND), reads=("y0",)),
-    "girsanov": KindSpec(_girsanov, stream_per_replica, (Y0, BAND, REPLICAS), ("replicas", "y0")),
-    "asf": KindSpec(_asf, stream_per_replica, (Y0, BAND, REPLICAS, HORIZON_TIMES),
+    "simulate": KindSpec(_simulate, needs=(ONE_START,), reads=("save_states",)),
+    "pair": KindSpec(_pair, needs=(ONE_START, Y0), reads=("y0",)),
+    "couple": KindSpec(_couple, needs=(ONE_START, Y0, BAND), reads=("y0",)),
+    "girsanov": KindSpec(_girsanov, stream_per_replica, (ONE_START, Y0, BAND, REPLICAS),
+                         ("replicas", "y0")),
+    "asf": KindSpec(_asf, stream_per_replica,
+                    (ONE_START, ONE_OBSERVABLE, Y0, BAND, REPLICAS, HORIZON_TIMES),
                     ("replicas", "t", "observable", "y0")),
     "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS, SAMPLES), ("observable", "burn_in")),
     "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, RADIUS),
                                ("replicas", "radius")),
-    "nsweep": KindSpec(_nsweep, stream_per_replica, (REPLICAS, ORDERS, POLY),
+    "nsweep": KindSpec(_nsweep, stream_per_replica, (ONE_START, REPLICAS, ORDERS, POLY),
                        ("replicas", "observable", "sweep_n")),
-    "lintest": KindSpec(_lintest, stream_per_replica, (REPLICAS, OFF), ("replicas",)),
+    "lintest": KindSpec(_lintest, stream_per_replica, (ONE_START, REPLICAS, OFF), ("replicas",)),
 }

@@ -137,8 +137,9 @@ def _drop(text, *keys):
 
 
 def _keep_first(text, key):
-    first = next(line for line in text.splitlines() if line.split("=")[0].strip() == key)
-    return _drop(text, key) + first + "\n"
+    lines = text.splitlines(keepends=True)
+    later = [i for i, line in enumerate(lines) if line.split("=")[0].strip() == key][1:]
+    return "".join(line for i, line in enumerate(lines) if i not in later)
 
 
 def _set(text, key, value):
@@ -157,6 +158,8 @@ BREAK = {
     kinds.OFF: lambda text: _set(text, "potential", "exact"),
     kinds.RADIUS: lambda text: _set(text, "radius", "-0.1"),
     kinds.SAMPLES: lambda text: _set(text, "T", "0.5"),
+    kinds.ONE_START: lambda text: _set(text, "x0", "const") + "x0 = gaussian:0.5\n",
+    kinds.ONE_OBSERVABLE: lambda text: _set(text, "observable", "tanh:1") + "observable = mean\n",
 }
 
 
@@ -261,6 +264,23 @@ def test_cli_unread_key_exits_2_without_run_directory(tmp_path, capsys, kind, ke
 
 
 @pytest.mark.parametrize(
+    "kind, need",
+    [
+        pytest.param(kind, need, id=f"{kind}-{need.field}")
+        for kind in sorted(KINDS)
+        for need in (kinds.ONE_START, kinds.ONE_OBSERVABLE)
+        if need in KINDS[kind].needs
+    ],
+)
+def test_cli_second_start_or_observable_exits_2_without_run_directory(
+    tmp_path, capsys, kind, need
+):
+    # the kind runs only the first, so a second would change the hash alone
+    text = BREAK[need](example_text(kind))
+    _cli_exits_2_without_run_directory(tmp_path, capsys, kind, text, need.field)
+
+
+@pytest.mark.parametrize(
     "option, value, field",
     [("--seed", "-1", "seed"), ("--seed", str(2**64 + 5), "seed"), ("--threads", "0", "threads")],
 )
@@ -360,6 +380,9 @@ def test_every_key_round_trips(potential):
     for kind in ran:
         unread = set(config.KIND_KEYS) - set(KINDS[kind].reads)
         kind_text = _drop(text.replace("kind = pair", f"kind = {kind}"), *unread)
+        for need in (kinds.ONE_START, kinds.ONE_OBSERVABLE):  # a kind that runs the first only
+            if need in KINDS[kind].needs:
+                kind_text = _keep_first(kind_text, need.field)
         cfg = parse_config_text(kind_text)
         # a reader and its emitter that disagree change the text or the config;
         # emit_config also writes the unread keys, at their defaults

@@ -36,8 +36,8 @@ def test_poly_values():
 
 
 def _poly_reference(u, n, lam):
-    # f_n as evaluated before the blocked in-place pass: Horner in u^2 on
-    # fresh arrays, then -2 * u * acc + lam * u
+    # f_n as evaluated before lam and -2 were folded into the coefficients:
+    # Horner in u^2 on fresh arrays, then -2 * u * acc + lam * u
     u = np.asarray(u, dtype=np.float64)
     u2 = u * u
     acc = np.full_like(u, 1.0 / (2 * n + 1))
@@ -47,20 +47,62 @@ def _poly_reference(u, n, lam):
     return -2.0 * (u * acc) + lam * u
 
 
+def _horner_bound(u, n, lam):
+    """Sum of both sides' rounding bounds gamma_K |u| sum_k |c_k| u^(2k)
+    (Higham 2002, sec. 5.1), K = 3n + 3 for each.
+
+    A term c_k u^(2k+1) meets at most 2n Horner operations, k from the
+    rounded u^2, one from its coefficient, one from the product with u and,
+    in the reference, one from the final sum: 3n + 3.  The folded side has
+    c_0 = lam - 2; the reference's terms are lam u and -2 u^(2k+1)/(2k+1).
+    """
+    K = 3 * n + 3
+    gamma = K * 2.0**-53 / (1.0 - K * 2.0**-53)
+    u = np.abs(np.asarray(u, dtype=np.float64))
+    tail = sum(2.0 / (2 * k + 1) * u ** (2 * k) for k in range(1, n + 1))
+    folded = u * (abs(lam - 2.0) + tail)
+    reference = u * (abs(lam) + 2.0 + tail)
+    return gamma * (folded + reference)
+
+
+BLOCK_SHAPES = [(potential.POLY_BLOCK + d,) for d in (-1, 0, 1)] + [
+    (3 * potential.POLY_BLOCK + 7,), (1000, 132), (0,),
+]
+
+
 @pytest.mark.parametrize("n, lam", [(0, 0.0), (1, -0.3), (4, 1.0), (20, 2.5)])
 def test_poly_blocks_equal_reference(rng, n, lam):
+    # equal up to the rounding of either Horner form: the folded one
+    # evaluates the same polynomial in another order
     spec = PotentialSpec.truncated(n, lam)
-    block = potential.POLY_BLOCK
-    for shape in [(block - 1,), (block,), (block + 1,), (3 * block + 7,), (1000, 132), (0,)]:
+    for shape in BLOCK_SHAPES:
         u = rng.uniform(-1.2, 1.2, size=shape)
-        want = _poly_reference(u, n, lam)
-        assert np.array_equal(potential.nonlinearity_poly(u, spec), want)
-        assert np.array_equal(potential.nonlinearity_grid(u, spec), want)
+        got = potential.nonlinearity_poly(u, spec)
+        assert np.all(np.abs(got - _poly_reference(u, n, lam)) <= _horner_bound(u, n, lam))
+        assert np.array_equal(potential.nonlinearity_grid(u, spec), got)
     strided = rng.uniform(-1.0, 1.0, size=(300, 264))[:, ::2]
-    assert np.array_equal(potential.nonlinearity_poly(strided, spec), _poly_reference(strided, n, lam))
+    assert np.array_equal(
+        potential.nonlinearity_poly(strided, spec),
+        potential.nonlinearity_poly(np.ascontiguousarray(strided), spec),
+    )
     for u in (0.0, -0.0, 0.37, np.float64(-0.81)):
         got = potential.nonlinearity_poly(u, spec)
-        assert type(got) is float and got == float(_poly_reference(u, n, lam))
+        assert type(got) is float
+        assert got == potential.nonlinearity_poly(np.array([u]), spec)[0]
+        assert abs(got - float(_poly_reference(u, n, lam))) <= _horner_bound(u, n, lam)
+
+
+@pytest.mark.parametrize("block", [7, 2**20])
+@pytest.mark.parametrize("n, lam", [(0, 0.0), (4, 1.0), (20, 2.5)])
+def test_poly_block_size_never_changes_bits(rng, monkeypatch, block, n, lam):
+    # a path equals its ensemble member only if a row's values do not depend
+    # on where the blocks of its batch fall
+    spec = PotentialSpec.truncated(n, lam)
+    inputs = [rng.uniform(-1.2, 1.2, size=shape) for shape in BLOCK_SHAPES]
+    want = [potential.nonlinearity_poly(u, spec) for u in inputs]
+    monkeypatch.setattr(potential, "POLY_BLOCK", block)
+    for u, w in zip(inputs, want):
+        assert np.array_equal(potential.nonlinearity_poly(u, spec), w)
 
 
 def test_poly_converges_to_exact():
