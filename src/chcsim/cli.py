@@ -13,9 +13,8 @@ import argparse
 import sys
 
 from . import runner
-from .config import parse_config, with_overrides
+from .config import ConfigError, parse_config, with_overrides
 from .dynamics import StiffEventError
-from .errors import ConfigError
 from .kinds import KINDS
 
 EXIT_OK = 0

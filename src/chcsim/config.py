@@ -6,7 +6,7 @@ One `key = value` pair per line, `#` comments, and repeated keys for lists
 text is not passed on, so its default lives in its dataclass field alone;
 potential, lambda and N, which no field holds, default to poly, 0 and 0.
 parse_config_text validates with field-path diagnostics, the keys the kind
-reads and its own requirements taken from ``kinds.KINDS``;
+reads and the requirements taken from ``kinds.KINDS``;
 parse(emit(cfg)) == cfg exactly.
 """
 
@@ -23,12 +23,15 @@ import numpy as np
 from . import noise as noise_mod
 from . import observables as obs_mod
 from .dynamics import SimConfig
-from .errors import ConfigError
-from .kinds import KINDS
+from .kinds import KEY_RULES, KINDS
 from .noise import CovarianceSpec
 from .observables import ObservableSpec
 from .potential import PotentialSpec
 from .spectral import ModeVector
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; message carries the offending field path."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ KEYS = {
     "y0": Key(_state, "y0"),
     "burn_in": Key(_FLOAT, "burn_in"),
     "radius": Key(_FLOAT, "radius"),
-    "sweep_n": Key(_INT, "sweep_n", many=True),
+    "sweep_n": Key(_int_in(0, math.inf, "truncation order must be >= 0"), "sweep_n", many=True),
     "out": Key(_TEXT, "out"),
     "threads": Key(_int_in(1, math.inf, "needs at least 1 worker thread"), "threads"),
     "save_states": Key(_BOOL, "save_states", emit=lambda cfg: str(cfg.save_states).lower()),
@@ -195,7 +198,7 @@ KEYS = {
 
 # keys a kind may set only if its KindSpec.reads names them; every SimConfig
 # key, x0, out and threads stay legal for every kind
-KIND_KEYS = ("replicas", "t", "observable", "y0", "burn_in", "radius", "sweep_n", "save_states")
+KIND_KEYS = tuple(KEY_RULES)
 UNREAD = "does not read this key; leave it out"
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 

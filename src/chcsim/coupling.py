@@ -204,7 +204,7 @@ class CoupledEnsemble:
     log_weight: np.ndarray  # (R,) terminal G
     int_w_sq: np.ndarray  # (R,)
     dist0: np.ndarray  # (R,)
-    dist_sq_path: np.ndarray | None  # (R, S) squared distances
+    dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances on the save grid
     failed_step: np.ndarray
 
     @property
@@ -219,29 +219,27 @@ def coupled_ensemble(
     N: int,
     replicas: int,
     *,
-    record_dist_path: bool = False,
-    strict: bool = True,
     threads: int = 1,
 ) -> CoupledEnsemble:
     """Run `replicas` coupled pairs; pair r draws from stream (seed, r).
 
     x0/y0 may be single states or (R, M+1) batches of per-pair starts.
     Results are identical for any thread count (streams are keyed by the
-    absolute pair index and outputs are written by index).
+    absolute pair index and outputs are written by index).  A stiff pair
+    aborts the run.
     """
     kern = dynamics.Engine(cfg, replicas, copies=2, band=_band_shift(cfg, N))
     starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
     pos = dynamics.save_positions(cfg)
-    dist_path = np.empty((replicas, len(pos))) if record_dist_path else None
+    dist_path = np.empty((replicas, len(pos)))
 
     def record(span, step, states, *_):
-        if dist_path is not None and step in pos:
+        if step in pos:
             n = states.shape[0] // 2
             dist_path[span, pos[step]] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
 
     kern.run(starts, record, threads)
-    if strict:
-        kern.raise_failures("coupled pair(s)")
+    kern.raise_failures("coupled pair(s)")
     return CoupledEnsemble(
         times=dynamics.save_steps(cfg) * cfg.dt,
         log_weight=kern.sums["log_weight"],

@@ -208,8 +208,6 @@ class Engine:
         self.Q = cfg.grid_size
         self.alpha = spectral.eigenvalues(cfg.M)
         self.alpha_sq = self.alpha**2
-        # the seminorm weights of |X|_1^2 and |X|_2^2, as seminorm_sq_many forms them
-        self.h_weights = (self.alpha[1:] ** 1.0, self.alpha[1:] ** 2.0)
         self.active = cfg.cov.active_modes
         self.sqrt_b_active = np.sqrt(cfg.cov.b[self.active])
         self.inv_alpha = np.zeros(cfg.M + 1)
@@ -272,8 +270,7 @@ class Engine:
 
     def h_integrands(self, states: np.ndarray, grids: np.ndarray | None):
         """(|X|_1^2, |X|_2^2, gradient functional integrand) for each row."""
-        sq = states[..., 1:] ** 2
-        h1, h2 = (np.einsum("...k,k->...", sq, w) for w in self.h_weights)
+        h1, h2 = (spectral.seminorm_sq_many(states, gamma) for gamma in (1.0, 2.0))
         if self.grad_mat is None or grids is None:
             gg = np.zeros_like(h1)
         else:
@@ -499,7 +496,7 @@ class EnsembleResult:
     times: np.ndarray  # save-time grid (S,)
     final: np.ndarray  # (R, M+1)
     failed_step: np.ndarray  # (R,), -1 where the replica completed
-    norm_m1_sq: np.ndarray | None = None  # (R, S)
+    norm_m1_sq: np.ndarray  # (R, S) squared H^-1 norms on the save grid
     budgets: dict = field(default_factory=dict)  # name -> (R,)
     snapshots: dict = field(default_factory=dict)  # step index -> (R, M+1)
 
@@ -513,7 +510,6 @@ def run_ensemble(
     cfg: SimConfig,
     replicas: int,
     *,
-    record_norm_path: bool = False,
     record_budgets: bool = False,
     snap_steps=(),
     threads: int = 1,
@@ -525,6 +521,7 @@ def run_ensemble(
     per-replica starts.  Stream r is keyed by (cfg.seed, r),
     so results are bit-identical for any thread count.  With strict=True a
     stiff replica aborts the run; otherwise it is surfaced in failed_step.
+    Each replica's squared H^-1 norm is recorded on the save grid;
     record_budgets books the five budget sums over the steps each replica
     completed (see the module docstring).
     """
@@ -534,13 +531,13 @@ def run_ensemble(
     for s in snapshots:
         if not 0 <= s <= cfg.steps:
             raise ValueError(f"snapshot step {s} outside 0..{cfg.steps}")
-    norm_m1_sq = np.empty((replicas, len(pos))) if record_norm_path else None
+    norm_m1_sq = np.empty((replicas, len(pos)))
     kern = Engine(cfg, replicas)
     budgets = {k: np.zeros(replicas) for k in BUDGET_KEYS} if record_budgets else {}
     last = {}  # span start -> (states, integrands) of the step before
 
     def record(span, step, states, grids, eta):
-        if norm_m1_sq is not None and step in pos:
+        if step in pos:
             norm_m1_sq[span, pos[step]] = spectral.seminorm_sq_many(states, -1.0)
         if step in snapshots:
             snapshots[step][span] = states

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 import scipy.special
 
-from . import dynamics, observables, spectral
+from . import coupling, dynamics, observables, spectral
 from .dynamics import SimConfig, Trajectory
 from .observables import ObservableSpec
 from .potential import PotentialSpec
@@ -71,8 +71,6 @@ def after_burn_in(times: np.ndarray, burn_in: float) -> np.ndarray:
 def default_burn_in(cfg: SimConfig, N: int | None) -> float:
     """10 / operational contraction rate when available, else T/10."""
     if N is not None and cfg.potential.active:
-        from . import coupling  # local import: coupling depends on dynamics
-
         try:
             rate = coupling.contraction_rate(N, cfg.potential.lam)
         except coupling.BandTooSmallError:
@@ -205,14 +203,15 @@ def uniqueness_evidence(
     )
 
 
-def clopper_pearson_lower(hits: int, n: int, confidence: float = 0.95) -> float:
-    """Lower Clopper-Pearson bound for a binomial proportion (two-sided)."""
+def clopper_pearson_lower(hits: int, n: int) -> float:
+    """Lower bound of the two-sided 95 % Clopper-Pearson interval for a
+    binomial proportion."""
     if not 0 <= hits <= n or n <= 0:
         raise ValueError("need 0 <= hits <= n with n > 0")
     if hits == 0:
         return 0.0
-    alpha = 1.0 - confidence
-    return float(scipy.special.betaincinv(hits, n - hits + 1, alpha / 2.0))
+    # (1 - 0.95)/2 rounds above 0.025; the tail keeps the bits lower95 has had
+    return float(scipy.special.betaincinv(hits, n - hits + 1, (1.0 - 0.95) / 2.0))
 
 
 @dataclass(frozen=True)

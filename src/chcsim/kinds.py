@@ -1,9 +1,11 @@
-"""The experiment kinds: one table says what each reads, needs, draws, writes and checks.
+"""The experiment kinds: one table says what each reads, needs, writes and checks.
 
 ``KINDS`` maps a kind name to its ``KindSpec``.  ``config`` validates a
 config against the entry's keys and requirements, ``cli`` builds one subcommand per
-entry, and ``runner`` calls the entry's ``run`` and records its stream
-count.  Adding a kind means adding one entry (and its ``configs/<kind>.cfg``).
+entry, and ``runner`` calls the entry's ``run``.  A key a kind reads brings
+its rule from ``KEY_RULES``, so an entry names only its own rules; a kind
+that reads ``replicas`` draws that many replica streams, any other one per
+start.  Adding a kind means adding one entry (and its ``configs/<kind>.cfg``).
 
 A kind's ``run(cfg, states, y_state, phis, out)`` gets the built initial
 states ``x0[0], x0[1], ...``, the built ``y0`` (or None), the built
@@ -40,10 +42,18 @@ BAND = Need(  # the spectral-gap condition of coupling.contraction_rate
     lambda cfg: spectral.eigenvalue(cfg.sim.cov.band + 1) > cfg.sim.potential.lam,
     "needs alpha_(N+1) = ((N+1) pi)^2 > lambda to couple; enlarge the band",
 )
+
+
+def _times_ok(cfg) -> bool:
+    """t lines in dt..T on strictly increasing steps: a repeated or
+    out-of-order step would change the config hash alone."""
+    steps = [round(t / cfg.sim.dt) for t in cfg.times]
+    return (bool(steps) and steps == sorted(set(steps))
+            and min(cfg.times) >= cfg.sim.dt and max(cfg.times) <= cfg.sim.T)
+
+
 HORIZON_TIMES = Need(
-    "t",
-    lambda cfg: bool(cfg.times) and min(cfg.times) >= cfg.sim.dt and max(cfg.times) <= cfg.sim.T,
-    "needs evaluation times dt <= t <= T (t lines)",
+    "t", _times_ok, "needs evaluation times dt <= t <= T on increasing steps (t lines)"
 )
 RADIUS = Need("radius", lambda cfg: cfg.radius > 0, "needs a positive radius")
 REPLICAS = Need("replicas", lambda cfg: cfg.replicas >= 2, "needs at least 2 replicas")
@@ -55,7 +65,9 @@ ONE_OBSERVABLE = Need(
     "observable", lambda cfg: len(cfg.observables) <= 1, "takes one observable"
 )
 ORDERS = Need(
-    "sweep_n", lambda cfg: len(cfg.sweep_n) >= 2, "needs at least two truncation orders"
+    "sweep_n",
+    lambda cfg: len(cfg.sweep_n) >= 2 and list(cfg.sweep_n) == sorted(cfg.sweep_n),
+    "needs at least two truncation orders, in non-decreasing order",
 )
 POLY = Need(
     "potential",
@@ -85,16 +97,17 @@ OFF = Need(
 )
 
 
-def one_stream(cfg) -> int:
-    return 1
-
-
-def stream_per_start(cfg) -> int:
-    return len(cfg.x0)
-
-
-def stream_per_replica(cfg) -> int:
-    return cfg.replicas
+# every key a kind may read, with the rule (or None) every kind reading it meets
+KEY_RULES = {
+    "replicas": REPLICAS,
+    "t": HORIZON_TIMES,
+    "observable": None,
+    "y0": Y0,
+    "burn_in": None,
+    "radius": RADIUS,
+    "sweep_n": ORDERS,
+    "save_states": None,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,19 +115,21 @@ class KindSpec:
     """An experiment kind.
 
     run:     (cfg, states, y_state, phis, out) -> (checks, extra).
-    streams: how many replica streams (seed, 0), (seed, 1), ... it draws.
-             Single paths, pairs and coupled pairs drive one; the ergodic
-             kind one per start; every ensemble kind one per replica,
-             reused across its starts, orders or paired runs.
-    needs:   requirements checked at parse time, in order.
-    reads:   the keys of ``config.KIND_KEYS`` its run reads; config rejects
-             the others unless they hold their defaults.
+    needs:   requirements checked at parse time, in order: the kind's own,
+             then the ``KEY_RULES`` of the keys it reads.
+    reads:   the keys of ``KEY_RULES`` its run reads; config rejects the
+             others unless they hold their defaults.
     """
 
     run: Callable
-    streams: Callable = one_stream
     needs: tuple = ()
     reads: tuple = ()
+
+    def __post_init__(self):
+        rules = (rule for key, rule in KEY_RULES.items() if key in self.reads and rule)
+        object.__setattr__(
+            self, "needs", self.needs + tuple(r for r in rules if r not in self.needs)
+        )
 
 
 def _write_trajectory(out, name: str, traj: dynamics.Trajectory):
@@ -254,7 +269,7 @@ def ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
 def _lintest(cfg, states, y_state, phis, out):
     """Linear-oracle suite: ensemble vs the exact Gaussian law at T."""
     sim, x0, R = cfg.sim, states[0], cfg.replicas
-    res = dynamics.run_ensemble(x0, sim, R, record_norm_path=True, threads=cfg.threads)
+    res = dynamics.run_ensemble(x0, sim, R, threads=cfg.threads)
     law = noise.linear_law(x0, sim.horizon, sim.cov)
 
     emp_mean = res.final.mean(axis=0)
@@ -314,18 +329,14 @@ def _lintest(cfg, states, y_state, phis, out):
 
 
 KINDS = {
-    "simulate": KindSpec(_simulate, needs=(ONE_START,), reads=("save_states",)),
-    "pair": KindSpec(_pair, needs=(ONE_START, Y0), reads=("y0",)),
-    "couple": KindSpec(_couple, needs=(ONE_START, Y0, BAND), reads=("y0",)),
-    "girsanov": KindSpec(_girsanov, stream_per_replica, (ONE_START, Y0, BAND, REPLICAS),
-                         ("replicas", "y0")),
-    "asf": KindSpec(_asf, stream_per_replica,
-                    (ONE_START, ONE_OBSERVABLE, Y0, BAND, REPLICAS, HORIZON_TIMES),
+    "simulate": KindSpec(_simulate, (ONE_START,), ("save_states",)),
+    "pair": KindSpec(_pair, (ONE_START,), ("y0",)),
+    "couple": KindSpec(_couple, (ONE_START, BAND), ("y0",)),
+    "girsanov": KindSpec(_girsanov, (ONE_START, BAND), ("replicas", "y0")),
+    "asf": KindSpec(_asf, (ONE_START, ONE_OBSERVABLE, BAND),
                     ("replicas", "t", "observable", "y0")),
-    "ergodic": KindSpec(_ergodic, stream_per_start, (STARTS, SAMPLES), ("observable", "burn_in")),
-    "irreducibility": KindSpec(_irreducibility, stream_per_replica, (REPLICAS, RADIUS),
-                               ("replicas", "radius")),
-    "nsweep": KindSpec(_nsweep, stream_per_replica, (ONE_START, REPLICAS, ORDERS, POLY),
-                       ("replicas", "observable", "sweep_n")),
-    "lintest": KindSpec(_lintest, stream_per_replica, (ONE_START, REPLICAS, OFF), ("replicas",)),
+    "ergodic": KindSpec(_ergodic, (STARTS, SAMPLES), ("observable", "burn_in")),
+    "irreducibility": KindSpec(_irreducibility, (), ("replicas", "radius")),
+    "nsweep": KindSpec(_nsweep, (ONE_START, POLY), ("replicas", "observable", "sweep_n")),
+    "lintest": KindSpec(_lintest, (ONE_START, OFF), ("replicas",)),
 }

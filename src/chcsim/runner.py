@@ -4,6 +4,9 @@ Every run gets its own directory named by the config hash (never
 overwritten); outputs are CSV/JSON with deterministic float formatting, and
 the manifest is written last as the commit marker.  (config, seed)
 determines every emitted byte except the wall-clock fields of the manifest.
+A kind that reads ``replicas`` draws that many replica streams, any other
+one per start.  ``emit_plotdata`` takes a series from the first CSV output
+whose header has a ``t`` column and the series.
 
 Exit-code contract (enforced by the CLI): 2 config error, 3 stiff event,
 4 failed in-run assertion, 0 otherwise.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, dynamics
+from . import __version__
 from .config import ExperimentConfig, build_observable, build_state, config_hash, emit_config
 from .kinds import KINDS
 
@@ -115,7 +118,7 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
             "scheme": "philox, key = [seed, replica]",
             "seed": sim.seed,
             "first": 0,
-            "count": kind.streams(cfg),
+            "count": cfg.replicas if "replicas" in kind.reads else len(cfg.x0),
         },
         "outputs": out.names,
         "checks": checks,
@@ -133,50 +136,30 @@ def run(cfg: ExperimentConfig, override_out: str | None = None) -> RunManifest:
     )
 
 
-SERIES_SOURCES = {
-    **{name: ("trajectory.csv", "trajectory_x.csv") for name, _ in dynamics.TRAJECTORY_COLUMNS},
-    "dist_m1": ("coupling.csv", "distance.csv"),
-    "control_sq_integral": ("coupling.csv",),
-    "log_weight": ("coupling.csv",),
-    "mean_norm_m1_sq": ("ensemble_norm.csv",),
-}
-
-
-def _read_csv(path: str) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}
-
-
 def emit_plotdata(manifest_path: str, series: str, out_path: str | None = None) -> str:
     """Extract one series from a run as plot-ready CSV.
 
-    Adds a log10 hint column for strictly positive series (the decay plots)
-    and carries envelope columns along when the source defines them.
+    The series comes from the first CSV output whose header has both ``t``
+    and the series.  Adds a log10 hint column for strictly positive series (the decay
+    plots) and carries envelope columns along when the source defines them.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     directory = os.path.dirname(os.path.abspath(manifest_path))
-    if series not in SERIES_SOURCES:
-        raise KeyError(
-            f"unknown series {series!r}; known: {', '.join(sorted(SERIES_SOURCES))}"
-        )
-    source = None
-    for candidate in SERIES_SOURCES[series]:
-        if candidate in manifest["outputs"]:
-            source = candidate
-            break
-    if source is None:
-        raise KeyError(f"series {series!r} not present in this run's outputs")
-    table = _read_csv(os.path.join(directory, source))
-    if series not in table:
-        raise KeyError(f"series {series!r} missing from {source}")
+    for name in manifest["outputs"]:
+        if name.endswith(".csv"):
+            with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                if series != "t" and "t" in header and series in header:
+                    table = dict(zip(header, np.loadtxt(fh, delimiter=",", ndmin=2).T))
+                    break
+    else:
+        raise KeyError(f"series {series!r} is not a column of any CSV output with a t column")
 
     header = ["t", series]
     columns = [table["t"], table[series]]
     for env_name in ("growth_envelope", "gronwall_envelope", "se"):
-        if env_name in table:
+        if env_name in table and env_name != series:
             header.append(env_name)
             columns.append(table[env_name])
     values = table[series]

@@ -59,7 +59,7 @@ def budget_runs():
             )
             res = dynamics.run_ensemble(
                 ModeVector.constant(c, 32), cfg, 800,
-                record_budgets=True, record_norm_path=True,
+                record_budgets=True,
             )
             runs[(c, lam)] = (cfg, res)
     return runs
@@ -110,9 +110,7 @@ def test_criterion_03_lipschitz_growth_bound():
         x0s = stationary_batch(cfg, R, scale=0.6, slot=0)
         y0s = stationary_batch(cfg, R, scale=0.6, slot=1)
         # band 0 disables the control: both rows run the plain dynamics
-        ens = coupling.coupled_ensemble(
-            x0s, y0s, cfg, N=0, replicas=R, record_dist_path=True
-        )
+        ens = coupling.coupled_ensemble(x0s, y0s, cfg, N=0, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
         envelope = ens.dist0[:, None] * np.exp(1.0 * ens.times)[None, :] * 1.05
         assert np.all(dist <= envelope + 1e-300)
@@ -128,9 +126,7 @@ def test_criterion_04_coupling_decay():
         rate = coupling.contraction_rate(2, 1.0)
         x0s = stationary_batch(cfg, R, scale=0.6, slot=0)
         y0s = stationary_batch(cfg, R, scale=0.6, slot=1)
-        ens = coupling.coupled_ensemble(
-            x0s, y0s, cfg, N=2, replicas=R, record_dist_path=True
-        )
+        ens = coupling.coupled_ensemble(x0s, y0s, cfg, N=2, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
         envelope = ens.dist0[:, None] * np.exp(-rate.operational * ens.times)[None, :]
         assert np.all(dist <= envelope * 1.05 + 1e-300)

@@ -116,7 +116,7 @@ def test_coupled_ensemble_matches_single():
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
     rec = coupling.simulate_coupled(x0, y0, cfg, N=2)
-    ens = coupling.coupled_ensemble(x0, y0, cfg, 2, replicas=1, record_dist_path=True)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 2, replicas=1)
     assert ens.log_weight[0] == pytest.approx(rec.log_weight[-1], rel=1e-12, abs=1e-14)
     assert ens.int_w_sq[0] == pytest.approx(rec.control_sq_integral[-1], rel=1e-12, abs=1e-14)
     assert np.allclose(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1, rtol=1e-10, atol=1e-14)

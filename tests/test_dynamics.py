@@ -230,9 +230,7 @@ def test_save_grid_includes_last_step():
 
 def test_snapshots_and_norm_path():
     cfg = make_cfg(M=8, dt=1e-3, T=0.05, cov=standard_cov(8), save_every=10, seed=2)
-    res = dynamics.run_ensemble(
-        ModeVector.zeros(8), cfg, 5, record_norm_path=True, snap_steps=[25, 50]
-    )
+    res = dynamics.run_ensemble(ModeVector.zeros(8), cfg, 5, snap_steps=[25, 50])
     assert res.norm_m1_sq.shape == (5, len(res.times))
     assert set(res.snapshots) == {25, 50}
     assert np.array_equal(res.snapshots[50], res.final)

@@ -303,14 +303,19 @@ def test_cli_overrides_enter_the_config_text(tmp_path, capsys):
     assert (cfg.sim.seed, cfg.threads) == (5, 2) and manifest["seed"] == 5
 
 
-# (kind, key, value, field): each parsed cleanly and then failed inside the run
+# (kind, key, value, field): each parsed cleanly and then failed inside the run,
+# or, for the repeated and the out-of-order t, ran with the extra line ignored
 BAD_FIELDS = [
     ("couple", "x0", "modes:40=0.2", "x0[0]"),
     ("ergodic", "observable", "mode:40:2", "observable[0]"),
     ("asf", "observable", "tanh:0", "observable[0]"),
     ("irreducibility", "radius", "-0.1", "radius"),
     ("asf", "t", "0.2", "t"),
+    ("asf", "t", "0.05\nt = 0.05", "t"),
+    ("asf", "t", "0.1\nt = 0.05", "t"),
     ("nsweep", "t", "0", "t"),
+    ("nsweep", "sweep_n", "4\nsweep_n = 2", "sweep_n"),
+    ("nsweep", "sweep_n", "-1\nsweep_n = 4", "sweep_n[0]"),
     ("ergodic", "T", "0.5", "T"),
 ]
 
@@ -635,6 +640,47 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _example_manifest(tmp_path, capsys, kind):
+    assert run_kind(tmp_path, example_text(kind), kind) == 0
+    return capsys.readouterr().out.strip().splitlines()[-1]
+
+
+def test_plot_takes_the_first_csv_with_t_and_the_series(tmp_path, capsys):
+    manifest_path = _example_manifest(tmp_path, capsys, "pair")
+    run_dir = os.path.dirname(manifest_path)
+    x, y = (np.loadtxt(os.path.join(run_dir, f"trajectory_{s}.csv"), delimiter=",",
+                       skiprows=1) for s in "xy")
+    columns = [n for n, _ in dynamics.TRAJECTORY_COLUMNS]
+    for series in ("mean", "energy"):  # distance.csv, listed first, has neither
+        assert cli.main(["plot", "--manifest", manifest_path, "--series", series]) == 0
+        plotted = np.loadtxt(capsys.readouterr().out.strip(), delimiter=",", skiprows=1)
+        j = 1 + columns.index(series)
+        assert np.array_equal(plotted[:, 1], x[:, j])
+    assert not np.array_equal(x[:, j], y[:, j])
+    for series in ("nope", "t"):
+        assert cli.main(["plot", "--manifest", manifest_path, "--series", series]) == 2
+
+
+def test_plot_skips_a_csv_without_t(tmp_path, capsys):
+    # nsweep.csv has a mean column but no t column
+    manifest_path = _example_manifest(tmp_path, capsys, "nsweep")
+    assert cli.main(["plot", "--manifest", manifest_path, "--series", "mean"]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, count",
+    [("simulate", 1), ("pair", 1), ("couple", 1), ("girsanov", 2000), ("asf", 200),
+     ("ergodic", 2), ("irreducibility", 200), ("nsweep", 300), ("lintest", 5000)],
+)
+def test_example_manifest_stream_count(tmp_path, monkeypatch, kind, count):
+    # the count depends on the config alone, so a run that writes nothing shows it
+    stub = dataclasses.replace(KINDS[kind], run=lambda *args: ({}, {}))
+    monkeypatch.setitem(KINDS, kind, stub)
+    manifest = runner.run(parse_config_text(example_text(kind)), override_out=str(tmp_path))
+    streams = json.load(open(manifest.path))["replica_streams"]
+    assert (streams["first"], streams["count"]) == (0, count)
 
 
 def test_plot_log_column_reproduces_decay_rate(tmp_path, capsys):
