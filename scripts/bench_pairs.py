@@ -12,7 +12,10 @@ checkout's src/ and bench/, every seed's metrics, and for each metric the
 median, the quartiles and the number of pairs that side won (its value
 strictly better than the other side's in the same pair).  Whether lower or
 higher is better comes from the ``BENCHMARK.json`` of AFTER_DIR; metrics it
-does not list count as lower is better.  One line per pair goes to stderr as the runs finish.
+does not list count as lower is better.  One line per pair goes to stderr as
+the runs finish, with both sides' value of every end-to-end metric it
+declares.  The exit status is 1 when any run reported ``correct: false`` or a
+failed operation; the two files are written either way.
 """
 
 import argparse
@@ -71,11 +74,15 @@ def source_digest(checkout: str) -> str:
     return digest.hexdigest()
 
 
-def lower_is_better(checkout: str) -> dict:
+def declared_metrics(checkout: str) -> tuple[list[dict], dict]:
+    """The end-to-end metrics of checkout's BENCHMARK.json, and whether lower
+    is better for each metric it declares."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
-    return {m["name"]: m["better"] == "lower"
-            for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
+    end_to_end = declared.get("end_to_end", [])
+    lower = {m["name"]: m["better"] == "lower"
+             for m in end_to_end + declared.get("per_layer", [])}
+    return end_to_end, lower
 
 
 def summary(runs: list[dict], others: list[dict], lower: dict) -> dict:
@@ -102,16 +109,17 @@ def main():
     args = ap.parse_args()
 
     dirs = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
+    end_to_end, lower = declared_metrics(dirs["after"])
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(bench_once(dirs[side], args.workload, seed, args.seconds))
-        pair = {side: runs[side][-1]["metrics"]["run_s"] for side in SIDES}
-        print(f"seed {seed} ({order[0]} first): run_s before {pair['before']:.4f} s, "
-              f"after {pair['after']:.4f} s", file=sys.stderr)
+        before, after = (runs[side][-1]["metrics"] for side in SIDES)
+        pair = "; ".join(f"{m['name']} {before[m['name']]:.4f} -> {after[m['name']]:.4f} {m['unit']}"
+                         for m in end_to_end)
+        print(f"seed {seed} ({order[0]} first): {pair}", file=sys.stderr)
 
-    lower = lower_is_better(dirs["after"])
     os.makedirs(args.out, exist_ok=True)
     for side, other in zip(SIDES, SIDES[::-1]):
         record = {
@@ -129,6 +137,13 @@ def main():
             fh.write(json.dumps(record, indent=1) + "\n")
         print(path)
 
+    bad = [f"{side} seed {r['seed']}" for side in SIDES for r in runs[side]
+           if not r["correct"] or r["failed"] > 0]
+    if bad:
+        print(f"error: incorrect or failed operations in {', '.join(bad)}", file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

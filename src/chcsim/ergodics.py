@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.special
 
 from . import coupling, dynamics, observables, spectral
 from .dynamics import SimConfig, Trajectory
@@ -24,6 +23,9 @@ from .potential import PotentialSpec
 from .spectral import ModeVector
 
 N_BATCHES = 16
+# the 0.975 quantile of Student's t on N_BATCHES - 1 degrees of freedom,
+# scipy.special.stdtrit(15, 0.975) written out so no run loads scipy for it
+T_QUANTILE = 2.131449545559776
 
 
 class InsufficientDataError(ValueError):
@@ -59,8 +61,7 @@ def time_average(traj: Trajectory, phi: ObservableSpec, burn_in: float) -> TimeA
     mean = float(np.trapezoid(v_sel, t_sel) / (t_sel[-1] - t_sel[0]))
     batch_means = np.array([np.mean(b) for b in np.array_split(v_sel, N_BATCHES)])
     spread = float(np.std(batch_means, ddof=1))
-    tq = scipy.special.stdtrit(N_BATCHES - 1, 0.975)
-    return TimeAverage(mean=mean, ci=float(tq * spread / math.sqrt(N_BATCHES)))
+    return TimeAverage(mean=mean, ci=float(T_QUANTILE * spread / math.sqrt(N_BATCHES)))
 
 
 def after_burn_in(times: np.ndarray, burn_in: float) -> np.ndarray:
@@ -210,6 +211,8 @@ def clopper_pearson_lower(hits: int, n: int) -> float:
         raise ValueError("need 0 <= hits <= n with n > 0")
     if hits == 0:
         return 0.0
+    import scipy.special  # here, not at the top: only irreducibility needs it
+
     # (1 - 0.95)/2 rounds above 0.025; the tail keeps the bits lower95 has had
     return float(scipy.special.betaincinv(hits, n - hits + 1, (1.0 - 0.95) / 2.0))
 

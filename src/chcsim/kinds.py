@@ -21,7 +21,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.special
 
 from . import coupling, dynamics, ergodics, noise, observables, potential, spectral
 
@@ -255,9 +254,12 @@ def ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
     """Two-sided Kolmogorov-Smirnov distance of a sample from N(mean, sd^2).
 
     D = max(D+, D-) over the sorted sample, with the arithmetic of
-    ``scipy.stats.kstest`` against ``norm(mean, sd).cdf``, whose import this
-    spares every run.
+    ``scipy.stats.kstest`` against ``norm(mean, sd).cdf``.  The normal cdf
+    comes from ``scipy.special.ndtr``, imported here so that only a lintest
+    run loads scipy.
     """
+    import scipy.special
+
     x = np.sort(sample)
     cdf = scipy.special.ndtr((x - mean) / sd)
     n = x.size

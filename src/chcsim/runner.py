@@ -66,11 +66,13 @@ def _run_directory(cfg: ExperimentConfig, override_out: str | None) -> str:
     stem = f"{cfg.kind}-{config_hash(cfg)}"
     candidate = os.path.join(base, stem)
     suffix = 1
-    while os.path.exists(candidate):
-        suffix += 1
-        candidate = os.path.join(base, f"{stem}-r{suffix}")
-    os.makedirs(candidate)
-    return candidate
+    while True:
+        try:  # claim the name by creating it: another run may take it first
+            os.makedirs(candidate)
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = os.path.join(base, f"{stem}-r{suffix}")
 
 
 class _Outputs:

@@ -125,10 +125,11 @@ def test_clopper_pearson():
 
 
 def test_special_quantiles_equal_scipy_stats():
-    # the package takes its quantiles from scipy.special to keep scipy.stats
-    # off the import path; the values must not move
+    # the package writes out its t quantile and takes its beta quantiles from
+    # scipy.special to keep scipy.stats off the import path; the values must not move
     q = scipy.special.stdtrit(ergodics.N_BATCHES - 1, 0.975)
     assert q == scipy.stats.t.ppf(0.975, ergodics.N_BATCHES - 1)
+    assert ergodics.T_QUANTILE == q
     tail = (1.0 - 0.95) / 2.0  # the lower tail of a 95 % interval
     for n in (1, 7, 50, 1000, 5000):
         for hits in sorted({h for h in (1, 2, n // 3, n // 2, n - 1, n) if 1 <= h <= n}):

@@ -642,6 +642,60 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
+COLD_START_PROBE = """
+import glob, os, sys
+import numpy as np
+from chcsim import cli, config, dynamics, ergodics, observables
+
+configs, out = sys.argv[1:]
+for path in sorted(glob.glob(os.path.join(configs, "*.cfg"))):
+    config.parse_config(path)
+pair = os.path.join(configs, "pair.cfg")
+assert cli.main(["pair", "--config", pair, "--out", out]) == 0
+sim = config.parse_config(pair).sim
+states = np.random.default_rng(5).standard_normal((64, sim.M + 1))
+traj = dynamics.Trajectory(np.linspace(0.0, 1.0, 64), states, {}, sim)
+assert ergodics.time_average(traj, observables.mode_moment(1, 2), burn_in=0.0).ci > 0.0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # only the lintest KS distance and the irreducibility bound may load scipy
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, CONFIGS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_run_directory_takes_the_next_free_suffix(tmp_path):
+    cfg = parse_config_text(MINIMAL)
+    stem = f"simulate-{config_hash(cfg)}"
+    for name in (stem, f"{stem}-r2"):
+        os.makedirs(tmp_path / name)
+    assert runner._run_directory(cfg, str(tmp_path)) == str(tmp_path / f"{stem}-r3")
+
+
+def test_run_directory_claimed_by_another_run_meanwhile(tmp_path, monkeypatch):
+    cfg = parse_config_text(MINIMAL.replace("T = 1", "T = 0.02"))
+    stem = f"simulate-{config_hash(cfg)}"
+    real_makedirs = os.makedirs
+
+    def racing_makedirs(path, *args, **kwargs):
+        if os.path.basename(path) == stem and not os.path.isdir(path):
+            real_makedirs(path)  # another run creates the chosen name first
+        return real_makedirs(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", racing_makedirs)
+    manifest = runner.run(cfg, override_out=str(tmp_path))
+    assert manifest.directory == str(tmp_path / f"{stem}-r2")
+    assert os.listdir(tmp_path / stem) == []
+
+
 def _example_manifest(tmp_path, capsys, kind):
     assert run_kind(tmp_path, example_text(kind), kind) == 0
     return capsys.readouterr().out.strip().splitlines()[-1]
