@@ -45,7 +45,7 @@ def main():
         out[:, hot] = 0.6 * r.standard_normal((args.pairs, hot.size)) * np.sqrt(var[hot])
         return out
 
-    ens = coupling.coupled_ensemble(starts(rng), starts(rng), cfg, args.band, args.pairs)
+    ens = coupling.coupled_ensemble(starts(rng), starts(rng), cfg, args.pairs)
     dist = np.sqrt(ens.dist_sq_path)
     fitted = np.array(
         [-np.polyfit(ens.times, np.log(dist[r]), 1)[0] for r in range(args.pairs)]

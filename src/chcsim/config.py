@@ -47,7 +47,6 @@ class ExperimentConfig:
     radius: float = 0.1
     sweep_n: tuple = ()
     out: str = "runs"
-    threads: int = 1
     save_states: bool = False
 
 
@@ -163,7 +162,7 @@ class Key(NamedTuple):
 
 KEYS = {
     "kind": Key(_kind, "kind", required=True),
-    "M": Key(_INT, "sim.M", required=True),
+    "M": Key(_int_in(1, math.inf, "must be >= 1"), "sim.M", required=True),
     "Q": Key(_INT, "sim.Q"),
     "dt": Key(_FLOAT, "sim.dt", required=True),
     "T": Key(_FLOAT, "sim.T", required=True),
@@ -191,13 +190,13 @@ KEYS = {
     "radius": Key(_FLOAT, "radius"),
     "sweep_n": Key(_int_in(0, math.inf, "truncation order must be >= 0"), "sweep_n", many=True),
     "out": Key(_TEXT, "out"),
-    "threads": Key(_int_in(1, math.inf, "needs at least 1 worker thread"), "threads"),
+    "threads": Key(_int_in(1, math.inf, "needs at least 1 worker thread"), "sim.threads"),
     "save_states": Key(_BOOL, "save_states", emit=lambda cfg: str(cfg.save_states).lower()),
 }
 
 
 # keys a kind may set only if its KindSpec.reads names them; every SimConfig
-# key, x0, out and threads stay legal for every kind
+# key, x0 and out stay legal for every kind
 KIND_KEYS = tuple(KEY_RULES)
 UNREAD = "does not read this key; leave it out"
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

@@ -3,8 +3,9 @@
 Two copies of the dynamics are driven by the same noise.  The target copy
 runs the plain equation from y; the shifted copy starts from x and has its
 destabilizing linear term on the band modes 1..N evaluated at the *target*
-state instead of itself.  That shift is exactly a drift change absorbed into
-the noise: the shifted copy solves the plain equation driven by
+state instead of itself; N is the covariance's band cfg.cov.band, which every
+driver here reads from its SimConfig.  That shift is exactly a drift change
+absorbed into the noise: the shifted copy solves the plain equation driven by
 W + int w(s) ds with the band-supported control
 
     w_k(t) = -(lam/2) alpha_k (shifted - target)_k / sqrt(b_k),  k = 1..N,
@@ -79,33 +80,26 @@ def contraction_rate(N: int, lam: float) -> ContractionRate:
     return ContractionRate(nominal=nominal, operational=operational)
 
 
-def _band_arrays(cov: CovarianceSpec, N: int):
-    if N > cov.order:
-        raise ValueError(f"band N={N} exceeds truncation order {cov.order}")
-    b_band = cov.b[1 : N + 1]
-    if np.any(b_band <= 0.0):
-        raise BandTooSmallError(
-            f"covariance invalid for coupling: b_k must be > 0 for k = 1..{N}"
-        )
-    alpha_band = spectral.eigenvalues(cov.order)[1 : N + 1]
-    return alpha_band, np.sqrt(b_band)
+def _band_arrays(cov: CovarianceSpec):
+    """(alpha_k, sqrt(b_k)) on the band; CovarianceSpec keeps b_k > 0 there."""
+    band = slice(1, cov.band + 1)
+    return spectral.eigenvalues(cov.order)[band], np.sqrt(cov.b[band])
 
 
-def control(y: ModeVector, cov: CovarianceSpec, lam: float, N: int | None = None) -> ModeVector:
+def control(y: ModeVector, cov: CovarianceSpec, lam: float) -> ModeVector:
     """Control w for a given difference y = shifted - target.
 
     w_k = -(lam/2) alpha_k y_k / sqrt(b_k) on the band, zero elsewhere; its
     L^2 size is at most (lam/2) max_k(alpha_k/sqrt(b_k)) |pi_low y|_0.
     """
-    if N is None:
-        N = cov.band
-    alpha_band, sqrt_b = _band_arrays(cov, N)
+    alpha_band, sqrt_b = _band_arrays(cov)
+    N = cov.band
     out = np.zeros(cov.order + 1)
     out[1 : N + 1] = -(0.5 * lam) * alpha_band * y.coeffs[1 : N + 1] / sqrt_b
     return ModeVector(out)
 
 
-def control_gain(cov: CovarianceSpec, lam: float, N: int | None = None) -> float:
+def control_gain(cov: CovarianceSpec, lam: float) -> float:
     """Operator norm of the control map from |.|_{-1} to the L^2 norm:
 
     kappa = (lam/2) max_{k<=N} alpha_k^(3/2) / sqrt(b_k),
@@ -113,11 +107,9 @@ def control_gain(cov: CovarianceSpec, lam: float, N: int | None = None) -> float
     so |w(t)|_0 <= kappa |Y(t)|_{-1} pathwise.  This is the constant used in
     every Girsanov bound here.
     """
-    if N is None:
-        N = cov.band
-    if N == 0 or lam == 0.0:
+    if cov.band == 0 or lam == 0.0:
         return 0.0
-    alpha_band, sqrt_b = _band_arrays(cov, N)
+    alpha_band, sqrt_b = _band_arrays(cov)
     return 0.5 * abs(lam) * float(np.max(alpha_band**1.5 / sqrt_b))
 
 
@@ -165,34 +157,34 @@ class CouplingRecord:
         return -float(slope)
 
 
-def _band_shift(cfg: SimConfig, N: int):
+def _band_shift(cfg: SimConfig):
     """Kernel band part (lam, alpha_band, sqrt_b); validates the band condition."""
-    contraction_rate(N, cfg.potential.lam)
-    return (cfg.potential.lam, *_band_arrays(cfg.cov, N))
+    contraction_rate(cfg.cov.band, cfg.potential.lam)
+    return (cfg.potential.lam, *_band_arrays(cfg.cov))
 
 
-def simulate_coupled(x0: ModeVector, y0: ModeVector, cfg: SimConfig, N: int) -> CouplingRecord:
+def simulate_coupled(x0: ModeVector, y0: ModeVector, cfg: SimConfig) -> CouplingRecord:
     """Integrate one coupled pair and record distance, control, and weight.
 
     Copy 0 is the shifted copy started at x0, copy 1 the target started at
     y0.  ``CouplingRecord.decay_envelope`` gives the pathwise bound the
     distance must stay under.
     """
-    band = _band_shift(cfg, N)
+    band = _band_shift(cfg)
     lam, alpha_band, sqrt_b = band
     _, saved, running = dynamics._run_paths(
         cfg, np.stack([dynamics._tile_starts(v, cfg, 1) for v in (x0, y0)]), band=band
     )
     diff = saved[0, 0] - saved[1, 0]
-    w = -(0.5 * lam) * alpha_band * diff[:, 1 : N + 1] / sqrt_b
+    w = -(0.5 * lam) * alpha_band * diff[:, 1 : cfg.cov.band + 1] / sqrt_b
     return CouplingRecord(
         times=dynamics.save_steps(cfg) * cfg.dt,
         dist_m1=np.sqrt(spectral.seminorm_sq_many(diff, -1.0)),
         control_sq_integral=running["int_w_sq"][0],
         log_weight=running["log_weight"][0],
         control_norm=np.linalg.norm(w, axis=-1),
-        rate=contraction_rate(N, lam),
-        kappa=control_gain(cfg.cov, lam, N),
+        rate=contraction_rate(cfg.cov.band, lam),
+        kappa=control_gain(cfg.cov, lam),
     )
 
 
@@ -212,15 +204,7 @@ class CoupledEnsemble:
         return int(np.sum(self.failed_step >= 0))
 
 
-def coupled_ensemble(
-    x0,
-    y0,
-    cfg: SimConfig,
-    N: int,
-    replicas: int,
-    *,
-    threads: int = 1,
-) -> CoupledEnsemble:
+def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
     """Run `replicas` coupled pairs; pair r draws from stream (seed, r).
 
     x0/y0 may be single states or (R, M+1) batches of per-pair starts.
@@ -228,7 +212,7 @@ def coupled_ensemble(
     absolute pair index and outputs are written by index).  A stiff pair
     aborts the run.
     """
-    kern = dynamics.Engine(cfg, replicas, copies=2, band=_band_shift(cfg, N))
+    kern = dynamics.Engine(cfg, replicas, copies=2, band=_band_shift(cfg))
     starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
     pos = dynamics.save_positions(cfg)
     dist_path = np.empty((replicas, len(pos)))
@@ -238,7 +222,7 @@ def coupled_ensemble(
             n = states.shape[0] // 2
             dist_path[span, pos[step]] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
 
-    kern.run(starts, record, threads)
+    kern.run(starts, record)
     kern.raise_failures("coupled pair(s)")
     return CoupledEnsemble(
         times=dynamics.save_steps(cfg) * cfg.dt,
@@ -265,19 +249,16 @@ class GirsanovGap:
     replicas: int
 
 
-def girsanov_gap(
-    x0: ModeVector, y0: ModeVector, cfg: SimConfig, N: int, replicas: int,
-    *, threads: int = 1,
-) -> GirsanovGap:
+def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) -> GirsanovGap:
     """Estimate the weight gap E|1 - exp(G(T))| over coupled replicas.
 
     The bound is exp(v/2) sqrt(v) with v = kappa^2 |x-y|_{-1}^2 / (2 delta);
     the martingale mean E[exp(G(T))] doubles as an exact oracle (= 1).
     """
     lam = cfg.potential.lam
-    rate = contraction_rate(N, lam)
-    kappa = control_gain(cfg.cov, lam, N)
-    ens = coupled_ensemble(x0, y0, cfg, N, replicas, threads=threads)
+    rate = contraction_rate(cfg.cov.band, lam)
+    kappa = control_gain(cfg.cov, lam)
+    ens = coupled_ensemble(x0, y0, cfg, replicas)
     weights = np.exp(ens.log_weight)
     gap = np.abs(1.0 - weights)
     dist0 = float(ens.dist0[0])
@@ -314,10 +295,7 @@ def asf_estimate(
     y0: ModeVector,
     ts,
     cfg: SimConfig,
-    N: int,
     replicas: int,
-    *,
-    threads: int = 1,
 ) -> list[AsfEstimate]:
     """Two-start smoothing estimates with common random numbers.
 
@@ -327,15 +305,15 @@ def asf_estimate(
     """
     phi.require_bounded_lipschitz()
     lam = cfg.potential.lam
-    rate = contraction_rate(N, lam)
-    kappa = control_gain(cfg.cov, lam, N)
+    rate = contraction_rate(cfg.cov.band, lam)
+    kappa = control_gain(cfg.cov, lam)
     dist0 = spectral.seminorm(x0 - y0, -1.0)
 
     snap = sorted(set(int(round(t / cfg.dt)) for t in ts))
     if any(s < 1 or s > cfg.steps for s in snap):
         raise ValueError("requested times fall outside the horizon")
-    res_x = dynamics.run_ensemble(x0, cfg, replicas, snap_steps=snap, threads=threads)
-    res_y = dynamics.run_ensemble(y0, cfg, replicas, snap_steps=snap, threads=threads)
+    res_x = dynamics.run_ensemble(x0, cfg, replicas, snap_steps=snap)
+    res_y = dynamics.run_ensemble(y0, cfg, replicas, snap_steps=snap)
 
     floor = girsanov_bound(dist0, kappa, rate.operational) * phi.sup_bound
     out = []

@@ -85,6 +85,7 @@ class SimConfig:
     sup_guard: float = 1.5
     save_every: int = 1
     max_halvings: int = 10
+    threads: int = 1  # worker threads; results do not depend on it
 
     def __post_init__(self):
         if self.M < 1:
@@ -107,6 +108,8 @@ class SimConfig:
             raise ValueError("save_every must be >= 1")
         if self.sup_guard <= 0:
             raise ValueError("sup_guard must be positive")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     @property
     def grid_size(self) -> int:
@@ -292,9 +295,9 @@ class Engine:
         m0 = 2.0 * np.einsum("...k,...k->...", states, eta)
         return m1, m0
 
-    def run(self, starts: np.ndarray, record, threads: int = 1) -> np.ndarray:
+    def run(self, starts: np.ndarray, record) -> np.ndarray:
         """Integrate starts (copies, rows, M+1) over cfg.steps, the rows split
-        into one span per thread; returns the final states.
+        into one span per thread of cfg.threads; returns the final states.
 
         record(span, step, states, grids, eta) sees each span's batch, its
         grids (None without a potential) and the step's increments per noise
@@ -321,7 +324,7 @@ class Engine:
                 record(span, step, states, grids, eta)
             final[:, span] = states.reshape(self.copies, hi - lo, -1)
 
-        n = min(max(1, int(threads)), starts.shape[1])
+        n = min(cfg.threads, starts.shape[1])
         bounds = [int(b) for b in np.linspace(0, starts.shape[1], n + 1)]
         if n == 1:
             span_run(*bounds)
@@ -415,7 +418,7 @@ class Engine:
             )
 
 
-def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, band=None):
+def _run_paths(cfg: SimConfig, starts: np.ndarray, *, band=None):
     """Integrate starts (copies, R, M+1) with stiff retries, saving every state
     row on the save grid.
 
@@ -435,7 +438,7 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, threads: int = 1, band=Non
             for key, acc in running.items():
                 acc[span, j] = kern.sums[key][span]
 
-    kern.run(starts, record, threads)
+    kern.run(starts, record)
     return kern, saved, running
 
 
@@ -451,14 +454,14 @@ def _trajectory(cfg: SimConfig, states: np.ndarray, retries: int) -> Trajectory:
     )
 
 
-def simulate_many(x_list, cfg: SimConfig, *, threads: int = 1) -> list[Trajectory]:
+def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
     """Integrate several starts as one batch; start i draws from stream (seed, i).
 
     Trajectory i equals ``simulate`` of start i on stream i bit for bit,
     stiff retries included, for any thread count.
     """
     starts = _tile_starts([getattr(x, "coeffs", x) for x in x_list], cfg, len(x_list))
-    kern, saved, _ = _run_paths(cfg, starts[None], threads=threads)
+    kern, saved, _ = _run_paths(cfg, starts[None])
     return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
 
 
@@ -512,7 +515,6 @@ def run_ensemble(
     *,
     record_budgets: bool = False,
     snap_steps=(),
-    threads: int = 1,
     strict: bool = True,
 ) -> EnsembleResult:
     """Integrate `replicas` independent copies with per-replica noise streams.
@@ -551,7 +553,7 @@ def run_ensemble(
                     budgets[key][span] += np.where(kern.alive[span], value, 0.0)
             last[span.start] = states, h
 
-    final = kern.run(starts[None], record, threads)
+    final = kern.run(starts[None], record)
     if strict:
         kern.raise_failures("replica(s)")
     return EnsembleResult(

@@ -69,11 +69,12 @@ def after_burn_in(times: np.ndarray, burn_in: float) -> np.ndarray:
     return times >= burn_in - 1e-12
 
 
-def default_burn_in(cfg: SimConfig, N: int | None) -> float:
-    """10 / operational contraction rate when available, else T/10."""
-    if N is not None and cfg.potential.active:
+def default_burn_in(cfg: SimConfig) -> float:
+    """10 / operational contraction rate of the config's band when available,
+    else T/10."""
+    if cfg.potential.active:
         try:
-            rate = coupling.contraction_rate(N, cfg.potential.lam)
+            rate = coupling.contraction_rate(cfg.cov.band, cfg.potential.lam)
         except coupling.BandTooSmallError:
             return cfg.horizon / 10.0
         burn = 10.0 / rate.operational
@@ -151,10 +152,7 @@ def uniqueness_evidence(
     x_list,
     phi_list,
     cfg: SimConfig,
-    N: int | None = None,
     burn_in: float | None = None,
-    *,
-    threads: int = 1,
 ) -> ErgodicReport:
     """Compare long-run averages across starts under independent noise.
 
@@ -165,7 +163,7 @@ def uniqueness_evidence(
     if len(x_list) < 2:
         raise ValueError("need at least two initial states")
     if burn_in is None:
-        burn_in = default_burn_in(cfg, N)
+        burn_in = default_burn_in(cfg)
     elliptic_ok = cfg.cov.active_modes.size > 0
     notes = []
     if not elliptic_ok:
@@ -174,7 +172,7 @@ def uniqueness_evidence(
     averages = np.empty((len(x_list), len(phi_list)))
     cis = np.empty_like(averages)
     labels = []
-    trajs = dynamics.simulate_many(x_list, cfg, threads=threads)
+    trajs = dynamics.simulate_many(x_list, cfg)
     for i, (x0, traj) in enumerate(zip(x_list, trajs)):
         labels.append(f"start{i}|x|={spectral.norm(x0, -1.0):.3g}")
         for j, phi in enumerate(phi_list):
@@ -233,8 +231,6 @@ def exit_probability(
     radius: float,
     cfg: SimConfig,
     replicas: int,
-    *,
-    threads: int = 1,
 ) -> ExitProbe:
     """Probability of sitting inside the ball around the flat state at time T.
 
@@ -243,10 +239,8 @@ def exit_probability(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    res = dynamics.run_ensemble(x0, cfg, replicas, threads=threads)
-    centered = res.final.copy()
-    centered[:, 0] -= cfg.c
-    dist_sq = spectral.seminorm_sq_many(centered, -1.0)
+    res = dynamics.run_ensemble(x0, cfg, replicas)
+    dist_sq = spectral.seminorm_sq_many(res.final, -1.0)  # reads no mode 0: c e_0 drops out
     hits = int(np.sum(dist_sq <= radius * radius))
     p = hits / replicas
     return ExitProbe(
@@ -297,8 +291,6 @@ def truncation_sweep(
     phi_list,
     cfg: SimConfig,
     replicas: int,
-    *,
-    threads: int = 1,
 ) -> TruncationSweep:
     """Sweep the polynomial truncation order with common random numbers.
 
@@ -314,7 +306,7 @@ def truncation_sweep(
     rows = {phi.name: [] for phi in phi_list}
     for n in n_list:
         run_cfg = replace(cfg, potential=PotentialSpec.truncated(n, lam))
-        res = dynamics.run_ensemble(x0, run_cfg, replicas, threads=threads, strict=False)
+        res = dynamics.run_ensemble(x0, run_cfg, replicas, strict=False)
         ok = res.failed_step < 0
         n_ok = int(np.sum(ok))
         if n_ok < 2:

@@ -80,7 +80,7 @@ def _samples_after_burn_in(cfg) -> int:
     ``uniqueness_evidence`` resolves."""
     sim, burn_in = cfg.sim, cfg.burn_in
     if burn_in is None:
-        burn_in = ergodics.default_burn_in(sim, sim.cov.band)
+        burn_in = ergodics.default_burn_in(sim)
     return int(np.count_nonzero(ergodics.after_burn_in(dynamics.save_steps(sim) * sim.dt, burn_in)))
 
 
@@ -170,7 +170,7 @@ def _pair(cfg, states, y_state, phis, out):
 
 
 def _couple(cfg, states, y_state, phis, out):
-    record = coupling.simulate_coupled(states[0], y_state, cfg.sim, cfg.sim.cov.band)
+    record = coupling.simulate_coupled(states[0], y_state, cfg.sim)
     out.csv(
         "coupling.csv",
         ["t", "dist_m1", "control_sq_integral", "log_weight"],
@@ -186,9 +186,7 @@ def _couple(cfg, states, y_state, phis, out):
 
 
 def _girsanov(cfg, states, y_state, phis, out):
-    gg = coupling.girsanov_gap(
-        states[0], y_state, cfg.sim, cfg.sim.cov.band, cfg.replicas, threads=cfg.threads
-    )
+    gg = coupling.girsanov_gap(states[0], y_state, cfg.sim, cfg.replicas)
     out.json("girsanov.json", dataclasses.asdict(gg))
     checks = {
         "martingale_unit_mean": bool(
@@ -201,10 +199,7 @@ def _girsanov(cfg, states, y_state, phis, out):
 
 def _asf(cfg, states, y_state, phis, out):
     phi = phis[0] if phis else observables.tanh_mode(1)
-    rows = coupling.asf_estimate(
-        phi, states[0], y_state, cfg.times, cfg.sim, cfg.sim.cov.band, cfg.replicas,
-        threads=cfg.threads,
-    )
+    rows = coupling.asf_estimate(phi, states[0], y_state, cfg.times, cfg.sim, cfg.replicas)
     out.json("asf.json", {"observable": phi.name, "rows": [dataclasses.asdict(r) for r in rows]})
     return {"smoothing_bound": all(r.lhs <= r.bound + 3.0 * r.se for r in rows)}, {}
 
@@ -215,9 +210,7 @@ def _ergodic(cfg, states, y_state, phis, out):
         observables.mode_moment(1, 2),
         observables.energy(),
     )
-    report = ergodics.uniqueness_evidence(
-        states, phi_list, cfg.sim, N=cfg.sim.cov.band, burn_in=cfg.burn_in, threads=cfg.threads
-    )
+    report = ergodics.uniqueness_evidence(states, phi_list, cfg.sim, burn_in=cfg.burn_in)
     out.json("ergodic.json", report.to_dict())
     out.text("ergodic.txt", report.render_text() + "\n")
     return {"start_independence": report.consistent is not False}, {}
@@ -226,9 +219,7 @@ def _ergodic(cfg, states, y_state, phis, out):
 def _irreducibility(cfg, states, y_state, phis, out):
     rows = []
     for label, x0 in zip(cfg.x0, states):
-        probe = ergodics.exit_probability(
-            x0, cfg.radius, cfg.sim, cfg.replicas, threads=cfg.threads
-        )
+        probe = ergodics.exit_probability(x0, cfg.radius, cfg.sim, cfg.replicas)
         rows.append({"start": label, **dataclasses.asdict(probe)})
     out.json("irreducibility.json", {"t": cfg.sim.T, "radius": cfg.radius, "rows": rows})
     return {"reachable_from_all_starts": all(r["lower95"] > 0.0 for r in rows)}, {}
@@ -236,9 +227,7 @@ def _irreducibility(cfg, states, y_state, phis, out):
 
 def _nsweep(cfg, states, y_state, phis, out):
     phi_list = phis or (observables.seminorm(-1.0),)
-    sweep = ergodics.truncation_sweep(
-        states[0], cfg.sweep_n, phi_list, cfg.sim, cfg.replicas, threads=cfg.threads
-    )
+    sweep = ergodics.truncation_sweep(states[0], cfg.sweep_n, phi_list, cfg.sim, cfg.replicas)
     out.json("nsweep.json", {"t": cfg.sim.T, **sweep.to_dict()})
     rows = sweep.rows[phi_list[0].name]
     fields = ["n", "mean", "se", "failed"]
@@ -271,7 +260,7 @@ def ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
 def _lintest(cfg, states, y_state, phis, out):
     """Linear-oracle suite: ensemble vs the exact Gaussian law at T."""
     sim, x0, R = cfg.sim, states[0], cfg.replicas
-    res = dynamics.run_ensemble(x0, sim, R, threads=cfg.threads)
+    res = dynamics.run_ensemble(x0, sim, R)
     law = noise.linear_law(x0, sim.horizon, sim.cov)
 
     emp_mean = res.final.mean(axis=0)

@@ -6,6 +6,7 @@ Everything is desk scale (M <= 64, dt >= 1e-5, <= 1e4 replicas).
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from chcsim.noise import CovarianceSpec
 from chcsim.potential import PotentialSpec
 from chcsim.spectral import ModeVector
 
-from conftest import make_cfg, standard_cov
+from conftest import band_cov, make_cfg, standard_cov
 
 PI = math.pi
 PI4 = PI**4
@@ -110,7 +111,8 @@ def test_criterion_03_lipschitz_growth_bound():
         x0s = stationary_batch(cfg, R, scale=0.6, slot=0)
         y0s = stationary_batch(cfg, R, scale=0.6, slot=1)
         # band 0 disables the control: both rows run the plain dynamics
-        ens = coupling.coupled_ensemble(x0s, y0s, cfg, N=0, replicas=R)
+        cfg = replace(cfg, cov=band_cov(32, [(1, 1.0), (2, 1.0)], 0))
+        ens = coupling.coupled_ensemble(x0s, y0s, cfg, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
         envelope = ens.dist0[:, None] * np.exp(1.0 * ens.times)[None, :] * 1.05
         assert np.all(dist <= envelope + 1e-300)
@@ -126,7 +128,7 @@ def test_criterion_04_coupling_decay():
         rate = coupling.contraction_rate(2, 1.0)
         x0s = stationary_batch(cfg, R, scale=0.6, slot=0)
         y0s = stationary_batch(cfg, R, scale=0.6, slot=1)
-        ens = coupling.coupled_ensemble(x0s, y0s, cfg, N=2, replicas=R)
+        ens = coupling.coupled_ensemble(x0s, y0s, cfg, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
         envelope = ens.dist0[:, None] * np.exp(-rate.operational * ens.times)[None, :]
         assert np.all(dist <= envelope * 1.05 + 1e-300)
@@ -146,7 +148,7 @@ def test_criterion_05_girsanov_weight():
         direction[2] = 2.0 * PI / math.sqrt(2.0)  # unit |.|_{-1} vector
         for d in (1e-3, 1e-2):
             y0 = ModeVector(x0.coeffs + d * direction)
-            gg = coupling.girsanov_gap(x0, y0, cfg, N=2, replicas=10_000, threads=2)
+            gg = coupling.girsanov_gap(x0, y0, replace(cfg, threads=2), replicas=10_000)
             assert gg.dist0 == pytest.approx(d, rel=1e-10)
             assert abs(gg.martingale_mean - 1.0) <= 3.0 * gg.martingale_se
             assert gg.estimate <= gg.bound
@@ -212,7 +214,7 @@ def test_criterion_09_ergodic_uniqueness_evidence():
             observables.mode_moment(1, 2),
             observables.energy(),
         ]
-        report = ergodics.uniqueness_evidence(starts, phis, cfg, N=2)
+        report = ergodics.uniqueness_evidence(starts, phis, cfg)
         assert report.consistent is True
 
         # linear regime: averages against the exact stationary moments

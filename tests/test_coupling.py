@@ -33,31 +33,25 @@ def test_contraction_rate_band_too_small():
 
 def test_control_values():
     cov = standard_cov(8)
-    zero = coupling.control(ModeVector.zeros(8), cov, 2.0, N=2)
+    zero = coupling.control(ModeVector.zeros(8), cov, 2.0)
     assert np.all(zero.coeffs == 0.0)
-    nolam = coupling.control(ModeVector.unit(1, 8), cov, 0.0, N=2)
+    nolam = coupling.control(ModeVector.unit(1, 8), cov, 0.0)
     assert np.all(nolam.coeffs == 0.0)
-    w = coupling.control(ModeVector.unit(1, 8), cov, 2.0, N=2)
+    w = coupling.control(ModeVector.unit(1, 8), cov, 2.0)
     assert w.coeffs[1] == pytest.approx(-(PI**2), rel=1e-12)
     assert np.all(w.coeffs[2:] == 0.0) and w.coeffs[0] == 0.0
-
-
-def test_control_requires_band_noise():
-    cov = band_cov(8, [(1, 1.0)], 1)  # b_2 = 0
-    with pytest.raises(BandTooSmallError):
-        coupling.control(ModeVector.unit(1, 8), cov, 1.0, N=2)
 
 
 def test_control_gains():
     cov = standard_cov(8)
     lam = 1.0
     a1, a2 = spectral.eigenvalue(1), spectral.eigenvalue(2)
-    assert coupling.control_gain(cov, lam, 2) == pytest.approx(0.5 * a2**1.5)
-    assert coupling.control_gain(cov, 0.0, 2) == 0.0
+    assert coupling.control_gain(cov, lam) == pytest.approx(0.5 * a2**1.5)
+    assert coupling.control_gain(cov, 0.0) == 0.0
     # control size against the gain, mode by mode
     y = ModeVector(np.array([0.0, 0.3, -0.2, 0.5, 0.0, 0, 0, 0, 0]))
-    w = coupling.control(y, cov, lam, N=2)
-    assert np.linalg.norm(w.coeffs) <= coupling.control_gain(cov, lam, 2) * spectral.seminorm(
+    w = coupling.control(y, cov, lam)
+    assert np.linalg.norm(w.coeffs) <= coupling.control_gain(cov, lam) * spectral.seminorm(
         y, -1.0
     ) * (1 + 1e-12)
 
@@ -65,7 +59,7 @@ def test_control_gains():
 def test_coupled_identical_starts():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), seed=23)
     x0 = perturbed_state(cfg, 0.4)
-    rec = coupling.simulate_coupled(x0, x0, cfg, N=2)
+    rec = coupling.simulate_coupled(x0, x0, cfg)
     assert np.all(rec.dist_m1 == 0.0)
     assert np.all(rec.control_sq_integral == 0.0)
     assert np.all(rec.log_weight == 0.0)
@@ -77,7 +71,7 @@ def test_coupled_contraction_invariants():
     )
     x0 = perturbed_state(cfg, 0.6, slot=0)
     y0 = perturbed_state(cfg, 0.6, slot=1)
-    rec = coupling.simulate_coupled(x0, y0, cfg, N=2)
+    rec = coupling.simulate_coupled(x0, y0, cfg)
     d0 = rec.dist_m1[0]
     delta = rec.rate.operational
     envelope = d0 * np.exp(-delta * rec.times) * 1.05
@@ -94,7 +88,7 @@ def test_coupled_no_lambda_means_no_control():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=0.0, seed=31)
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
-    rec = coupling.simulate_coupled(x0, y0, cfg, N=2)
+    rec = coupling.simulate_coupled(x0, y0, cfg)
     assert np.all(rec.control_norm == 0.0)
     assert np.all(rec.log_weight == 0.0)
     assert rec.dist_m1[-1] < rec.dist_m1[0]
@@ -105,7 +99,7 @@ def test_coupled_check_raises_on_violation():
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
     # an envelope shrunk to 1e-4 of the proven one must be violated
-    rec = coupling.simulate_coupled(x0, y0, cfg, N=2)
+    rec = coupling.simulate_coupled(x0, y0, cfg)
     assert np.any(rec.dist_m1 > rec.decay_envelope(-0.9999) + 1e-300)
     assert np.all(rec.dist_m1 <= rec.decay_envelope() + 1e-300)
 
@@ -115,17 +109,30 @@ def test_coupled_ensemble_matches_single():
                    save_every=10)
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
-    rec = coupling.simulate_coupled(x0, y0, cfg, N=2)
-    ens = coupling.coupled_ensemble(x0, y0, cfg, 2, replicas=1)
-    assert ens.log_weight[0] == pytest.approx(rec.log_weight[-1], rel=1e-12, abs=1e-14)
-    assert ens.int_w_sq[0] == pytest.approx(rec.control_sq_integral[-1], rel=1e-12, abs=1e-14)
-    assert np.allclose(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1, rtol=1e-10, atol=1e-14)
+    rec = coupling.simulate_coupled(x0, y0, cfg)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
+    # the coupled path is pair 0 of the ensemble, bit for bit
+    assert ens.log_weight[0] == rec.log_weight[-1]
+    assert ens.int_w_sq[0] == rec.control_sq_integral[-1]
+    assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
+
+
+def test_band_zero_turns_the_control_off():
+    # the same noise with band 0: no control, so both rows run the plain dynamics
+    cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=band_cov(16, [(1, 1.0), (2, 1.0)], 0), n=4,
+                   lam=1.0, seed=41, save_every=10)
+    x0 = perturbed_state(cfg, 0.5, slot=0)
+    y0 = perturbed_state(cfg, 0.5, slot=1)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
+    assert np.all(ens.log_weight == 0.0) and np.all(ens.int_w_sq == 0.0)
+    _, _, dist = dynamics.simulate_pair(x0, y0, cfg)
+    assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), dist)
 
 
 def test_girsanov_gap_trivia():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=1.0, seed=43)
     x0 = perturbed_state(cfg, 0.4)
-    gg = coupling.girsanov_gap(x0, x0, cfg, 2, replicas=16)
+    gg = coupling.girsanov_gap(x0, x0, cfg, replicas=16)
     assert gg.estimate == 0.0
     assert gg.martingale_mean == 1.0
     assert gg.bound == 0.0
@@ -135,7 +142,7 @@ def test_girsanov_gap_statistics():
     cfg = make_cfg(M=16, dt=2e-4, T=0.08, cov=standard_cov(16), n=4, lam=1.0, seed=47)
     x0 = ModeVector.constant(0.0, 16)
     y0 = ModeVector(x0.coeffs + 0.01 * PI * np.eye(17)[1])  # |x-y|_{-1} = 0.01
-    gg = coupling.girsanov_gap(x0, y0, cfg, 2, replicas=2000)
+    gg = coupling.girsanov_gap(x0, y0, cfg, replicas=2000)
     assert gg.dist0 == pytest.approx(0.01, rel=1e-12)
     assert abs(gg.martingale_mean - 1.0) <= 4.0 * gg.martingale_se
     assert gg.estimate <= gg.bound
@@ -153,16 +160,16 @@ def test_asf_trivia_and_floor():
     cfg = make_cfg(M=16, dt=1e-3, T=0.2, cov=standard_cov(16), n=4, lam=1.0, seed=53)
     x0 = perturbed_state(cfg, 0.3)
     phi = observables.tanh_mode(1)
-    rows = coupling.asf_estimate(phi, x0, x0, [0.05, 0.2], cfg, 2, replicas=8)
+    rows = coupling.asf_estimate(phi, x0, x0, [0.05, 0.2], cfg, replicas=8)
     assert all(r.lhs == 0.0 for r in rows)
     # the bound decreases to the Girsanov floor as t grows
     y0 = perturbed_state(cfg, 0.3, slot=5)
-    rows2 = coupling.asf_estimate(phi, x0, y0, [0.02, 0.1, 0.2], cfg, 2, replicas=8)
+    rows2 = coupling.asf_estimate(phi, x0, y0, [0.02, 0.1, 0.2], cfg, replicas=8)
     bounds = [r.bound for r in rows2]
     assert bounds[0] > bounds[1] > bounds[2]
     d0 = spectral.seminorm(x0 - y0, -1.0)
     floor = coupling.girsanov_bound(
-        d0, coupling.control_gain(cfg.cov, 1.0, 2), coupling.contraction_rate(2, 1.0).operational
+        d0, coupling.control_gain(cfg.cov, 1.0), coupling.contraction_rate(2, 1.0).operational
     )
     assert bounds[2] >= floor
 
@@ -172,7 +179,7 @@ def test_asf_statistics_respect_bound():
     x0 = ModeVector.constant(0.0, 16)
     y0 = ModeVector(x0.coeffs + 0.05 * PI * np.eye(17)[1])
     phi = observables.tanh_mode(1)
-    rows = coupling.asf_estimate(phi, x0, y0, [0.05, 0.1, 0.2], cfg, 2, replicas=400)
+    rows = coupling.asf_estimate(phi, x0, y0, [0.05, 0.1, 0.2], cfg, replicas=400)
     for r in rows:
         assert r.lhs <= r.bound + 3.0 * r.se
     # common random numbers make the early-time estimate informative
@@ -183,7 +190,7 @@ def test_asf_requires_bounded_lipschitz():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), seed=59)
     x0 = perturbed_state(cfg, 0.3)
     with pytest.raises(ValueError, match="sup_bound"):
-        coupling.asf_estimate(observables.mean(), x0, x0, [0.05], cfg, 2, replicas=4)
+        coupling.asf_estimate(observables.mean(), x0, x0, [0.05], cfg, replicas=4)
 
 
 def test_rejected_step_books_no_control(monkeypatch):
@@ -191,7 +198,7 @@ def test_rejected_step_books_no_control(monkeypatch):
     # enter the control integral, and together they cover the horizon
     cfg = make_cfg(M=32, dt=1e-3, T=1e-3, cov=standard_cov(32))
     x0, y0 = ModeVector.unit(1, 32, amplitude=0.2), ModeVector.zeros(32)
-    plain = coupling.simulate_coupled(x0, y0, cfg, N=2)
+    plain = coupling.simulate_coupled(x0, y0, cfg)
     assert plain.control_sq_integral[-1] == pytest.approx(0.974e-3, rel=1e-3)
 
     sup_ok, advance = dynamics.Engine.sup_ok, dynamics.Engine.advance
@@ -207,6 +214,6 @@ def test_rejected_step_books_no_control(monkeypatch):
 
     monkeypatch.setattr(dynamics.Engine, "sup_ok", reject_first_candidate)
     monkeypatch.setattr(dynamics.Engine, "advance", logged_advance)
-    rec = coupling.simulate_coupled(x0, y0, cfg, N=2)
+    rec = coupling.simulate_coupled(x0, y0, cfg)
     assert dts == [cfg.dt, cfg.dt / 2, cfg.dt / 2] and sum(dts[1:]) == cfg.T
     assert rec.control_sq_integral[-1] == pytest.approx(plain.control_sq_integral[-1], rel=0.05)

@@ -67,8 +67,8 @@ def test_simulate_matches_ensemble_member_zero():
 def test_ensemble_thread_count_is_invisible():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), seed=5)
     x0 = perturbed_state(cfg, 0.3)
-    one = dynamics.run_ensemble(x0, cfg, 8, record_budgets=True, threads=1)
-    three = dynamics.run_ensemble(x0, cfg, 8, record_budgets=True, threads=3)
+    one = dynamics.run_ensemble(x0, dataclasses.replace(cfg, threads=1), 8, record_budgets=True)
+    three = dynamics.run_ensemble(x0, dataclasses.replace(cfg, threads=3), 8, record_budgets=True)
     assert np.array_equal(one.final, three.final)
     for key in one.budgets:
         assert np.array_equal(one.budgets[key], three.budgets[key])
@@ -333,7 +333,8 @@ def test_gapped_band_ensemble_ignores_threads_and_matches_simulate():
     # noise on modes 1 and 3 only: the band columns are not a contiguous slice
     cfg = make_cfg(M=8, dt=1e-3, T=0.05, cov=band_cov(8, [(1, 1.0), (3, 0.5)], 1), seed=23)
     x0 = perturbed_state(cfg, 0.3)
-    runs = [dynamics.run_ensemble(x0, cfg, 5, record_budgets=True, threads=t) for t in (1, 3)]
+    runs = [dynamics.run_ensemble(x0, dataclasses.replace(cfg, threads=t), 5, record_budgets=True)
+            for t in (1, 3)]
     assert np.array_equal(runs[0].final, runs[1].final)
     path = dynamics.simulate(x0, cfg)
     assert np.array_equal(runs[0].final[0], path.states[-1])
@@ -350,8 +351,8 @@ def test_failed_replica_books_only_its_completed_steps(threads):
     x0[:, 1] = np.linspace(0.0, 0.5, 6)
 
     def budgets(cfg):
-        res = dynamics.run_ensemble(x0, cfg, 6, record_budgets=True, strict=False,
-                                    threads=threads)
+        res = dynamics.run_ensemble(x0, dataclasses.replace(cfg, threads=threads), 6,
+                                    record_budgets=True, strict=False)
         return res.failed_step, res.budgets
 
     failed, booked = budgets(cfg)

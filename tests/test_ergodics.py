@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_uniqueness_evidence_consistency():
     )
     starts = [ModeVector.constant(0.0, 16), perturbed_state(cfg, 0.9, slot=1)]
     phis = [observables.seminorm_sq(-1.0), observables.mode_moment(1, 2)]
-    report = ergodics.uniqueness_evidence(starts, phis, cfg, N=2)
+    report = ergodics.uniqueness_evidence(starts, phis, cfg)
     assert report.elliptic_ok
     assert report.consistent is True
     assert "unique invariant measure" in report.verdict()
@@ -188,7 +189,7 @@ def test_uniqueness_evidence_marks_no_noise():
     )
     starts = [ModeVector.constant(0.0, 8), ModeVector.unit(1, 8, amplitude=0.4)]
     report = ergodics.uniqueness_evidence(
-        starts, [observables.seminorm_sq(-1.0)], cfg, N=None, burn_in=0.2
+        starts, [observables.seminorm_sq(-1.0)], cfg, burn_in=0.2
     )
     assert not report.elliptic_ok
     assert report.consistent is None
@@ -204,20 +205,21 @@ def test_uniqueness_needs_two_starts():
 
 def test_default_burn_in():
     cfg = make_cfg(M=8, dt=1e-3, T=50.0, cov=standard_cov(8), n=4, lam=1.0)
-    burn = ergodics.default_burn_in(cfg, N=2)
+    burn = ergodics.default_burn_in(cfg)
     assert burn == pytest.approx(10.0 / (math.pi**4 / 2.0))
     cfg_off = make_cfg(M=8, dt=1e-3, T=50.0, cov=standard_cov(8), potential_mode="off")
-    assert ergodics.default_burn_in(cfg_off, N=None) == pytest.approx(5.0)
+    assert ergodics.default_burn_in(cfg_off) == pytest.approx(5.0)
 
 
 def test_girsanov_and_ergodic_results_ignore_thread_count():
     cfg = make_cfg(M=16, dt=1e-3, T=0.1, cov=standard_cov(16), seed=89)
     starts = [perturbed_state(cfg, 0.4, slot=s) for s in range(3)]
-    gaps = [coupling.girsanov_gap(*starts[:2], cfg, 2, replicas=6, threads=t) for t in (1, 3)]
+    gaps = [coupling.girsanov_gap(*starts[:2], replace(cfg, threads=t), replicas=6)
+            for t in (1, 3)]
     assert gaps[0] == gaps[1]
     phis = [observables.seminorm_sq(-1.0), observables.energy()]
     reports = [
-        ergodics.uniqueness_evidence(starts, phis, cfg, N=2, burn_in=0.02, threads=t).to_dict()
+        ergodics.uniqueness_evidence(starts, phis, replace(cfg, threads=t), burn_in=0.02).to_dict()
         for t in (1, 3)
     ]
     assert reports[0] == reports[1]

@@ -102,7 +102,7 @@ def test_threads_default_ignores_environment(monkeypatch):
     # the config hash names the run directory, so it depends on the text alone
     hash_before = config_hash(parse_config_text(MINIMAL))
     monkeypatch.setenv("CHC_SIM_THREADS", "2")
-    assert parse_config_text(MINIMAL).threads == 1
+    assert parse_config_text(MINIMAL).sim.threads == 1
     assert config_hash(parse_config_text(MINIMAL)) == hash_before
 
 
@@ -256,6 +256,16 @@ def test_cli_band_too_small_exits_2_without_run_directory(tmp_path, capsys, kind
     )
 
 
+@pytest.mark.parametrize("M, noise", [("-3", False), ("-3", True), ("0", True)])
+def test_cli_nonpositive_M_exits_2_without_run_directory(tmp_path, capsys, M, noise):
+    # M is read before the b lines, which check their modes against it
+    text = _set(MINIMAL if noise else _drop(MINIMAL, "b", "N"), "M", M)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == "M: must be >= 1"
+    _cli_exits_2_without_run_directory(tmp_path, capsys, "simulate", text, "M")
+
+
 @pytest.mark.parametrize("kind, key, value", [("simulate", "radius", "0.7"),
                                              ("irreducibility", "t", "0.5")])
 def test_cli_unread_key_exits_2_without_run_directory(tmp_path, capsys, kind, key, value):
@@ -300,7 +310,7 @@ def test_cli_overrides_enter_the_config_text(tmp_path, capsys):
     with open(capsys.readouterr().out.strip().splitlines()[-1]) as fh:
         manifest = json.load(fh)
     cfg = parse_config_text(manifest["config"])
-    assert (cfg.sim.seed, cfg.threads) == (5, 2) and manifest["seed"] == 5
+    assert (cfg.sim.seed, cfg.sim.threads) == (5, 2) and manifest["seed"] == 5
 
 
 # (kind, key, value, field): each parsed cleanly and then failed inside the run,
