@@ -13,26 +13,25 @@ in floating point.
 Every integration runs one step engine (``Engine``) over a (rows, M+1)
 batch in which each noise stream drives one row (paths, ensembles) or two
 stacked rows (pairs, coupled pairs).  A step tests the grid sup-norm against
-the guard per noise row.  The engine books only the Girsanov sums of an
-optional band drift shift (``coupling``), for accepted substeps only; each
-driver reads every step through its own record hook and picks a stiff-step
-policy:
+the guard per noise row and retries a rejected row on halved substeps by
+Brownian-bridge refinement of its increment, up to ``max_halvings`` deep.  A
+row out of halvings fails: it raises ``StiffEventError`` at once, unless
+``run_ensemble(..., strict=False)`` parks it at c e_0, where it stays.
 
-* paths and pairs (``simulate``, ``simulate_many``, ``simulate_pair``,
-  ``coupling.simulate_coupled``) save states on the save grid; they retry a
-  rejected row on halved substeps by Brownian-bridge refinement of its
-  increment, up to ``max_halvings`` deep, then fail loudly;
-* ensembles (``run_ensemble``, ``coupling.coupled_ensemble``) mark the row
-  failed at that step, park it at c e_0 and surface it, never silently NaN'd.
-  ``run_ensemble(..., record_budgets=True)`` alone books the Ito budget sums
-  (trapezoid / left-point rule, as the energy-budget checks consume them)
-  in its hook, for the steps a replica completed.  They never feed back into
-  the step, so states are the same either way.
+The engine books only the Girsanov sums of an optional band drift shift
+(``coupling``), for accepted substeps only; each driver reads every step
+through its own record hook.  Paths and pairs (``simulate``,
+``simulate_many``, ``simulate_pair``, ``coupling.simulate_coupled``) save
+states on the save grid.  ``run_ensemble(..., record_budgets=True)`` alone
+books the Ito budget sums (trapezoid / left-point rule, as the energy-budget
+checks consume them) in its hook, for the steps a replica completed.  They
+never feed back into the step, so states are the same either way.
 
 Noise row r draws its step normals in time blocks from stream (seed, r) and
 its bridge normals from ``noise.bridge_stream(seed, r)``, created at its
 first retry, so a row's numbers do not depend on the rows or threads it
-shares a batch with: a path equals its batch member even when it retries.
+shares a batch with: a path equals its member of a path batch or an
+ensemble, retries and failures included.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class StiffEventError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one integration needs; immutable and hashable by content."""
+    """Everything one integration needs; immutable and compared by content."""
 
     M: int
     dt: float
@@ -88,28 +87,24 @@ class SimConfig:
     threads: int = 1  # worker threads; results do not depend on it
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.T < self.dt:
-            raise ValueError(f"horizon T={self.T} shorter than one step dt={self.dt}")
-        if abs(self.c) >= 1.0:
-            raise ValueError(f"conserved mean must lie in (-1, 1), got {self.c}")
-        if self.cov.order != self.M:
-            raise ValueError(
-                f"covariance order {self.cov.order} does not match M={self.M}"
-            )
         if self.Q is None:
             object.__setattr__(self, "Q", spectral.default_grid_size(self.M))
-        if self.Q < self.M + 1:
-            raise ValueError(f"grid size Q={self.Q} must be at least M+1")
-        if self.save_every < 1:
-            raise ValueError("save_every must be >= 1")
-        if self.sup_guard <= 0:
-            raise ValueError("sup_guard must be positive")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        # each message leads with its config key, as every config error does
+        for key, ok, rule in (
+            ("M", self.M >= 1, "must be >= 1"),
+            ("dt", self.dt > 0, "must be positive"),
+            ("T", self.T >= self.dt, f"horizon shorter than one step dt={self.dt}"),
+            ("c", abs(self.c) < 1.0, "conserved mean must lie in (-1, 1)"),
+            ("Q", self.Q >= self.M + 1, f"grid size must be at least M+1 = {self.M + 1}"),
+            ("save_every", self.save_every >= 1, "must be >= 1"),
+            ("sup_guard", self.sup_guard > 0, "must be positive"),
+            ("max_halvings", self.max_halvings >= 0, "must be >= 0"),
+            ("threads", self.threads >= 1, "must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{key}: {rule}, got {getattr(self, key)}")
+        if self.cov.order != self.M:
+            raise ValueError(f"covariance order {self.cov.order} does not match M={self.M}")
 
     @property
     def grid_size(self) -> int:
@@ -200,12 +195,12 @@ class Engine:
     A span of n noise rows holds `copies` stacked blocks of n state rows;
     noise row r drives state rows r, r + n, ... and draws from stream r.
     band = (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy
-    1 and books the Girsanov sums, the engine's only sums; retry selects the
-    bridge policy over marking failures.  sums, failed, retries and alive
-    are per noise row.  ``run_ensemble``'s record hook books the budgets.
+    1 and books the Girsanov sums, the engine's only sums.  A row out of
+    halvings raises, or with strict=False is marked in failed at its step
+    and parked.  sums, failed and retries are per noise row.
     """
 
-    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, retry: bool = False,
+    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, strict: bool = True,
                  band=None):
         self.cfg = cfg
         self.Q = cfg.grid_size
@@ -225,12 +220,12 @@ class Engine:
             spectral.gradient_matrix(cfg.M, self.Q) if spec.is_truncated else None
         )
         self.copies = copies
-        self.retry = retry
+        self.strict = strict
         self.band = band
         self.sums = {k: np.zeros(rows) for k in CONTROL_KEYS} if band is not None else {}
         self.failed = np.full(rows, -1, dtype=np.int64)
+        self.parked = False  # any row failed: only then does a step look for them
         self.retries = np.zeros(rows, dtype=np.int64)
-        self.alive = np.ones(rows, dtype=bool)
         self._bridges: dict[int, np.random.Generator] = {}
 
     def per_dt(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -333,6 +328,17 @@ class Engine:
                 list(pool.map(span_run, bounds[:-1], bounds[1:]))
         return final
 
+    def _state_rows(self, idx: np.ndarray, n: int) -> np.ndarray:
+        """The state rows of noise rows idx (of a span of n) in every copy."""
+        return np.concatenate([idx + c * n for c in range(self.copies)])
+
+    def _park(self, states: np.ndarray, grids: np.ndarray, sub):
+        """Put state rows sub at c e_0, whose grid is c, in place (only a row
+        with a grid is ever rejected, so only such rows fail)."""
+        states[sub] = 0.0
+        states[sub, 0] = self.cfg.c
+        grids[sub] = self.cfg.c
+
     def sup_ok(self, grids: np.ndarray) -> np.ndarray:
         """Per noise row: every copy's grid stays within the guard (NaN fails)."""
         sup = np.maximum(grids.max(axis=-1), -grids.min(axis=-1)).reshape(self.copies, -1)
@@ -355,28 +361,22 @@ class Engine:
         eta_rows = eta if self.copies == 1 else np.concatenate([eta] * self.copies)
         cand = self.advance(states, eta_rows, dt, nl)
         cand_grids = self.grid(cand) if self.needs_grid else None
+        if self.parked:  # failed rows stay at c e_0
+            down = np.flatnonzero(self.failed[rows] >= 0)
+            self._park(cand, cand_grids, self._state_rows(down, k))
 
         ok = None
         if cand_grids is not None:
             ok = self.sup_ok(cand_grids)
-            if not self.retry:
-                ok &= self.alive[rows]
             if ok.all():
                 ok = None
         if ok is not None:
             rejected = np.flatnonzero(~ok)
-            sub = np.concatenate([rejected + c * k for c in range(self.copies)])
-            if self.retry:
-                cand[sub], cand_grids[sub] = self._bisect(
-                    np.arange(self.failed.size)[rows][rejected], sub,
-                    states, grids, eta[rejected], dt, step, depth,
-                )
-            else:
-                self.failed[rows][~ok & self.alive[rows]] = step
-                self.alive[rows] &= ok
-                cand[sub] = 0.0
-                cand[sub, 0] = self.cfg.c
-                cand_grids[sub] = self.cfg.c
+            sub = self._state_rows(rejected, k)
+            cand[sub], cand_grids[sub] = self._bisect(
+                np.arange(self.failed.size)[rows][rejected], sub,
+                states, grids, eta[rejected], dt, step, depth,
+            )
 
         if self.band is not None:  # the Girsanov sums of accepted substeps
             w_sq = np.einsum("rk,rk->r", w, w)
@@ -389,12 +389,21 @@ class Engine:
 
     def _bisect(self, rows, sub, states, grids, eta, dt, step, depth):
         """Re-run noise rows `rows` (state rows `sub` of the batch) on two
-        halved substeps whose increments bridge the rejected eta."""
+        halved substeps whose increments bridge the rejected eta; rows out of
+        halvings fail at this step."""
         if depth >= self.cfg.max_halvings:
-            raise StiffEventError(
-                f"grid sup-norm exceeded guard {self.guard} after "
-                f"{self.cfg.max_halvings} halvings of dt={self.cfg.dt}"
-            )
+            if self.strict:
+                raise StiffEventError(
+                    f"{rows.size} row(s) (first: {rows[0]}) exceeded the sup-norm guard "
+                    f"{self.guard} at step {step} after {self.cfg.max_halvings} halvings "
+                    f"of dt={self.cfg.dt}",
+                    failed_replicas=rows,
+                )
+            self.failed[rows] = step
+            self.parked = True
+            out = states[sub], grids[sub]
+            self._park(*out, slice(None))
+            return out
         self.retries[rows] += 1
         xi = np.array([self._bridge(int(r)).standard_normal(self.active.size) for r in rows])
         bridge = self.scatter_noise(xi, 1.0, np.zeros(eta.shape))
@@ -406,16 +415,6 @@ class Engine:
         if r not in self._bridges:
             self._bridges[r] = noise.bridge_stream(self.cfg.seed, r)
         return self._bridges[r]
-
-    def raise_failures(self, what: str):
-        """StiffEventError naming the failed rows, if there are any."""
-        bad = np.flatnonzero(self.failed >= 0)
-        if bad.size:
-            raise StiffEventError(
-                f"{bad.size} {what} exceeded the sup-norm guard "
-                f"(first: {bad[0]} at step {self.failed[bad[0]]})",
-                failed_replicas=bad,
-            )
 
 
 def _run_paths(cfg: SimConfig, starts: np.ndarray, *, band=None):
@@ -429,7 +428,7 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, band=None):
     copies, R, K = starts.shape
     saved = np.empty((copies, R, len(pos), K))
     running = {k: np.empty((R, len(pos))) for k in CONTROL_KEYS} if band else {}
-    kern = Engine(cfg, R, copies=copies, retry=True, band=band)
+    kern = Engine(cfg, R, copies=copies, band=band)
 
     def record(span, step, states, *_):
         j = pos.get(step)
@@ -521,8 +520,9 @@ def run_ensemble(
 
     x0 is one ModeVector shared by all replicas or an (R, M+1) array of
     per-replica starts.  Stream r is keyed by (cfg.seed, r),
-    so results are bit-identical for any thread count.  With strict=True a
-    stiff replica aborts the run; otherwise it is surfaced in failed_step.
+    so results are bit-identical for any thread count, and member r equals
+    ``simulate_many``'s path r.  A replica out of halvings aborts the run,
+    or with strict=False is parked at c e_0 and surfaced in failed_step.
     Each replica's squared H^-1 norm is recorded on the save grid;
     record_budgets books the five budget sums over the steps each replica
     completed (see the module docstring).
@@ -534,7 +534,7 @@ def run_ensemble(
         if not 0 <= s <= cfg.steps:
             raise ValueError(f"snapshot step {s} outside 0..{cfg.steps}")
     norm_m1_sq = np.empty((replicas, len(pos)))
-    kern = Engine(cfg, replicas)
+    kern = Engine(cfg, replicas, strict=strict)
     budgets = {k: np.zeros(replicas) for k in BUDGET_KEYS} if record_budgets else {}
     last = {}  # span start -> (states, integrands) of the step before
 
@@ -550,12 +550,10 @@ def run_ensemble(
                 booked = {k: (a + b) * (0.5 * cfg.dt) for k, a, b in zip(BUDGET_KEYS, h_prev, h)}
                 booked["mart_m1"], booked["mart_0"] = kern.mart_weights(prev, eta)
                 for key, value in booked.items():  # not the step a replica fails at, nor later
-                    budgets[key][span] += np.where(kern.alive[span], value, 0.0)
+                    budgets[key][span] += np.where(kern.failed[span] < 0, value, 0.0)
             last[span.start] = states, h
 
     final = kern.run(starts[None], record)
-    if strict:
-        kern.raise_failures("replica(s)")
     return EnsembleResult(
         times=save_steps(cfg) * cfg.dt,
         final=final[0],

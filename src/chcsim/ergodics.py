@@ -296,8 +296,8 @@ def truncation_sweep(
 
     Every order reuses the identical per-replica noise streams, so the
     Cauchy differences isolate the effect of the truncation tail instead of
-    being swamped by Monte Carlo noise.  Stiff replicas are surfaced per
-    order (excluded from that order's mean, counted in the row).
+    being swamped by Monte Carlo noise.  A replica out of stiff-step
+    halvings is parked, left out of that order's mean and counted in its row.
     """
     n_list = list(n_list)
     if any(b > a for a, b in zip(n_list[1:], n_list[:-1])):

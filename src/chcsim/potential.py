@@ -56,7 +56,7 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.n is not None and self.n < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.n}")
+            raise ValueError(f"n: truncation order must be >= 0, got {self.n}")
         if not self.active and (self.lam != 0.0 or self.n is not None):
             raise ValueError("an inactive potential has lam = 0 and n = None")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,33 @@ def test_coupled_ensemble_matches_single():
     assert ens.log_weight[0] == rec.log_weight[-1]
     assert ens.int_w_sq[0] == rec.control_sq_integral[-1]
     assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
+
+
+def test_coupled_ensemble_member_equals_the_path_through_stiff_retries():
+    # n = 20 overshoots the guard from 0.85 e_2 at full dt; halved substeps relax
+    cfg = make_cfg(M=8, dt=2e-3, T=0.04, cov=band_cov(8, [(1, 1e-2), (2, 1e-2)], 2), n=20,
+                   lam=0.5, sup_guard=1.5)
+    x0 = ModeVector.unit(2, 8, amplitude=0.85)
+    y0 = ModeVector.unit(2, 8, amplitude=0.8)
+    with pytest.raises(dynamics.StiffEventError):  # the path needs its retries
+        coupling.simulate_coupled(x0, y0, dataclasses.replace(cfg, max_halvings=0))
+    rec = coupling.simulate_coupled(x0, y0, cfg)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
+    assert ens.log_weight[0] == rec.log_weight[-1]
+    assert ens.int_w_sq[0] == rec.control_sq_integral[-1]
+    assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
+
+
+def test_coupled_ensemble_raises_naming_the_pair_out_of_halvings():
+    # lam = 60 at n = 0: the target started at 0.5 e_1 runs out of halvings at step 1
+    cfg = make_cfg(M=8, dt=1e-2, T=0.02, c=0.1, cov=standard_cov(8), n=0, lam=60.0,
+                   sup_guard=1.0, seed=3)
+    y0 = np.tile(ModeVector.constant(cfg.c, cfg.M).coeffs, (3, 1))
+    x0 = y0.copy()
+    y0[:, 1] = [0.0, 0.5, 0.05]
+    with pytest.raises(dynamics.StiffEventError, match="at step 1") as err:
+        coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
+    assert err.value.failed_replicas.tolist() == [1]
 
 
 def test_band_zero_turns_the_control_off():

@@ -178,6 +178,55 @@ def test_stiff_retry_can_recover():
     assert np.max(traj.observables["sup"]) <= cfg.sup_guard
 
 
+def test_ensemble_member_equals_path_through_stiff_retries():
+    # the config of test_stiff_retry_can_recover: every row retries, as the path does
+    cfg = make_cfg(
+        M=8, dt=2e-3, T=0.04, cov=CovarianceSpec.zero(8), n=20, lam=0.0,
+        sup_guard=1.5, save_every=1,
+    )
+    x0 = ModeVector.unit(2, 8, amplitude=0.85)
+    traj = dynamics.simulate(x0, cfg)
+    res = dynamics.run_ensemble(x0, cfg, 3, strict=False)
+    assert res.failed_step.tolist() == [-1, -1, -1]
+    assert np.array_equal(res.final[0], traj.states[-1])
+    # no halvings: a row fails at its first rejection
+    res = dynamics.run_ensemble(x0, dataclasses.replace(cfg, max_halvings=0), 3, strict=False)
+    assert res.failed_step.tolist() == [2, 2, 2]
+
+
+def _one_stiff_row():
+    """lam = 60 at n = 0 over 2 steps: the start 0.5 e_1 runs out of halvings
+    at step 1, the starts 0 and 0.05 e_1 finish."""
+    cfg = make_cfg(M=8, dt=1e-2, T=0.02, c=0.1, cov=standard_cov(8), n=0, lam=60.0,
+                   sup_guard=1.0, seed=3)
+    starts = np.zeros((3, cfg.M + 1))
+    starts[:, 0] = cfg.c
+    starts[:, 1] = [0.0, 0.5, 0.05]
+    return cfg, starts
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_strict_ensemble_raises_naming_the_row_out_of_halvings(threads):
+    cfg, starts = _one_stiff_row()
+    with pytest.raises(StiffEventError, match="at step 1") as err:
+        dynamics.run_ensemble(starts, dataclasses.replace(cfg, threads=threads), 3)
+    assert err.value.failed_replicas.tolist() == [1]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_parked_row_keeps_c_e0_while_the_others_finish(threads):
+    cfg, starts = _one_stiff_row()
+    cfg = dataclasses.replace(cfg, threads=threads)
+    res = dynamics.run_ensemble(starts, cfg, 3, strict=False)
+    assert res.failed_step.tolist() == [-1, 1, -1]
+    assert np.array_equal(res.final[1], ModeVector.constant(cfg.c, cfg.M).coeffs)
+    assert np.all(res.norm_m1_sq[1, 1:] == 0.0)
+    # the finished rows equal their paths (streams 0 and 2) bit for bit
+    paths = dynamics.simulate_many(list(starts[[0, 0, 2]]), cfg)
+    for r in (0, 2):
+        assert np.array_equal(res.final[r], paths[r].states[-1])
+
+
 def test_ensemble_surfaces_stiff_replicas():
     cfg = make_cfg(
         M=4, dt=1e-2, T=0.1, cov=CovarianceSpec.zero(4), n=0, lam=60.0, sup_guard=1.0

@@ -314,7 +314,8 @@ def test_cli_overrides_enter_the_config_text(tmp_path, capsys):
 
 
 # (kind, key, value, field): each parsed cleanly and then failed inside the run,
-# or, for the repeated and the out-of-order t, ran with the extra line ignored
+# or, for the repeated and the out-of-order t, ran with the extra line ignored,
+# or, from dt on, was rejected without its field (max_halvings = -2 ran as 0)
 BAD_FIELDS = [
     ("couple", "x0", "modes:40=0.2", "x0[0]"),
     ("ergodic", "observable", "mode:40:2", "observable[0]"),
@@ -327,6 +328,14 @@ BAD_FIELDS = [
     ("nsweep", "sweep_n", "4\nsweep_n = 2", "sweep_n"),
     ("nsweep", "sweep_n", "-1\nsweep_n = 4", "sweep_n[0]"),
     ("ergodic", "T", "0.5", "T"),
+    ("simulate", "dt", "-1", "dt"),
+    ("simulate", "T", "0", "T"),
+    ("simulate", "c", "1.5", "c"),
+    ("simulate", "Q", "5", "Q"),
+    ("simulate", "save_every", "0", "save_every"),
+    ("simulate", "sup_guard", "0", "sup_guard"),
+    ("simulate", "n", "-1", "n"),
+    ("simulate", "max_halvings", "-2", "max_halvings"),
 ]
 
 
