@@ -22,10 +22,11 @@ The engine books only the Girsanov sums of an optional band drift shift
 (``coupling``), for accepted substeps only; each driver reads every step
 through its own record hook.  Paths and pairs (``simulate``,
 ``simulate_many``, ``simulate_pair``, ``coupling.simulate_coupled``) save
-states on the save grid.  ``run_ensemble(..., record_budgets=True)`` alone
-books the Ito budget sums (trapezoid / left-point rule, as the energy-budget
-checks consume them) in its hook, for the steps a replica completed.  They
-never feed back into the step, so states are the same either way.
+states on the save grid, and a ``Trajectory`` holds only them and its
+stiff-retry count.  ``run_ensemble(..., record_budgets=True)`` alone books
+the Ito budget sums (trapezoid / left-point rule, as the energy-budget checks
+consume them) in its hook, for the steps a replica completed.  They never
+feed back into the step, so states are the same either way.
 
 Noise row r draws its step normals in time blocks from stream (seed, r) and
 its bridge normals from ``noise.bridge_stream(seed, r)``, created at its
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import noise, observables, potential, spectral
+from . import noise, potential, spectral
 from .noise import CovarianceSpec
 from .potential import PotentialSpec
 from .spectral import ModeVector
@@ -51,14 +52,6 @@ MEAN_TOL = 1e-9
 # per-row sums: run_ensemble's budgets, the engine's coupling controls
 BUDGET_KEYS = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
 CONTROL_KEYS = ("log_weight", "int_w_sq")
-# every trajectory's (column name, observable), in computed and written order
-TRAJECTORY_COLUMNS = (
-    ("mean", observables.mean()),
-    ("norm_m1", observables.seminorm(-1.0)),
-    ("norm_1", observables.seminorm(1.0)),
-    ("sup", observables.sup_norm()),
-    ("energy", observables.energy()),
-)
 
 
 class StiffEventError(RuntimeError):
@@ -96,6 +89,7 @@ class SimConfig:
             ("T", self.T >= self.dt, f"horizon shorter than one step dt={self.dt}"),
             ("c", abs(self.c) < 1.0, "conserved mean must lie in (-1, 1)"),
             ("Q", self.Q >= self.M + 1, f"grid size must be at least M+1 = {self.M + 1}"),
+            ("seed", 0 <= self.seed < 2**64, "must fit in 64 bits"),
             ("save_every", self.save_every >= 1, "must be >= 1"),
             ("sup_guard", self.sup_guard > 0, "must be positive"),
             ("max_halvings", self.max_halvings >= 0, "must be >= 0"),
@@ -104,7 +98,7 @@ class SimConfig:
             if not ok:
                 raise ValueError(f"{key}: {rule}, got {getattr(self, key)}")
         if self.cov.order != self.M:
-            raise ValueError(f"covariance order {self.cov.order} does not match M={self.M}")
+            raise ValueError(f"b: covariance order {self.cov.order} does not match M={self.M}")
 
     @property
     def grid_size(self) -> int:
@@ -122,11 +116,10 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """A saved path: states and observables at the save grid."""
+    """A saved path: its states on the save grid."""
 
     times: np.ndarray
     states: np.ndarray  # (S, M+1) coefficients
-    observables: dict[str, np.ndarray]
     config: SimConfig
     stiff_retries: int = 0
 
@@ -151,6 +144,8 @@ def save_positions(cfg: SimConfig) -> dict[int, int]:
 def _tile_starts(x0, cfg: SimConfig, replicas: int) -> np.ndarray:
     """The (R, M+1) starts: x0 is one start (a ModeVector or coefficients)
     for every replica, or R per-replica starts; each must have mean c."""
+    if replicas < 1:
+        raise ValueError(f"replicas: must be >= 1, got {replicas}")
     arr = np.asarray(getattr(x0, "coeffs", x0), dtype=np.float64)
     if arr.ndim == 1:
         arr = np.tile(arr, (replicas, 1))
@@ -442,15 +437,7 @@ def _run_paths(cfg: SimConfig, starts: np.ndarray, *, band=None):
 
 
 def _trajectory(cfg: SimConfig, states: np.ndarray, retries: int) -> Trajectory:
-    return Trajectory(
-        times=save_steps(cfg) * cfg.dt,
-        states=states,
-        observables={
-            name: observables.evaluate(spec, states, cfg) for name, spec in TRAJECTORY_COLUMNS
-        },
-        config=cfg,
-        stiff_retries=int(retries),
-    )
+    return Trajectory(save_steps(cfg) * cfg.dt, states, cfg, int(retries))
 
 
 def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
@@ -465,7 +452,7 @@ def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
 
 
 def simulate(x0: ModeVector, cfg: SimConfig) -> Trajectory:
-    """Integrate one trajectory and record observables on the save grid.
+    """Integrate one trajectory and save its states on the save grid.
 
     The noise stream is the replica-0 stream of cfg.seed, so a single run
     reproduces member 0 of an ensemble with the same config.

@@ -131,9 +131,20 @@ class KindSpec:
         )
 
 
+# every trajectory CSV's (column name, observable), in written order
+TRAJECTORY_COLUMNS = (
+    ("mean", observables.mean()),
+    ("norm_m1", observables.seminorm(-1.0)),
+    ("norm_1", observables.seminorm(1.0)),
+    ("sup", observables.sup_norm()),
+    ("energy", observables.energy()),
+)
+
+
 def _write_trajectory(out, name: str, traj: dynamics.Trajectory):
-    names = [n for n, _ in dynamics.TRAJECTORY_COLUMNS]
-    out.csv(name, ["t"] + names, [traj.times] + [traj.observables[n] for n in names])
+    out.csv(name, ["t"] + [n for n, _ in TRAJECTORY_COLUMNS],
+            [traj.times] + [observables.evaluate(phi, traj.states, traj.config)
+                            for _, phi in TRAJECTORY_COLUMNS])
 
 
 def _mass_ok(traj: dynamics.Trajectory) -> bool:

@@ -61,21 +61,23 @@ class CovarianceSpec:
     band: int
 
     def __post_init__(self):
+        # each message leads with its config key, b's with the mode b[k]
         b = np.asarray(self.b, dtype=np.float64)
         if b.ndim != 1 or b.size < 1:
-            raise ValueError("b must be a 1-d sequence with at least mode 0")
-        if not np.all(np.isfinite(b)) or np.any(b < 0):
-            raise ValueError("b must be finite and nonnegative")
+            raise ValueError("b: must be a 1-d sequence with at least mode 0")
         if b[0] != 0.0:
-            raise ValueError("b_0 must vanish: mode-0 noise would break mean conservation")
+            raise ValueError(f"b[0]: mean-conservation violated: noise on mode 0 would "
+                             f"break mean conservation, got {b[0]}")
+        bad = np.flatnonzero(~(np.isfinite(b) & (b >= 0)))
+        if bad.size:
+            raise ValueError(f"b[{bad[0]}]: noise coefficients must be finite and "
+                             f"nonnegative, got {b[bad[0]]}")
         if not 0 <= self.band <= b.size - 1:
-            raise ValueError(f"band N={self.band} outside 0..{b.size - 1}")
-        if np.any(b[1 : self.band + 1] == 0.0):
-            bad = int(np.flatnonzero(b[1 : self.band + 1] == 0.0)[0]) + 1
-            raise ValueError(
-                f"b_{bad} = 0 inside the band: the elliptic assumption needs "
-                f"b_k > 0 for every k in 1..{self.band}"
-            )
+            raise ValueError(f"N: band must lie in 0..{b.size - 1}, got {self.band}")
+        zero = np.flatnonzero(b[1 : self.band + 1] == 0.0)
+        if zero.size:
+            raise ValueError(f"b[{zero[0] + 1}]: the elliptic band assumption needs "
+                             f"b_k > 0 for k = 1..{self.band}")
         object.__setattr__(self, "b", b)
 
     def __eq__(self, other):

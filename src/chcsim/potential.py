@@ -57,8 +57,11 @@ class PotentialSpec:
     def __post_init__(self):
         if self.n is not None and self.n < 0:
             raise ValueError(f"n: truncation order must be >= 0, got {self.n}")
-        if not self.active and (self.lam != 0.0 or self.n is not None):
-            raise ValueError("an inactive potential has lam = 0 and n = None")
+        if not self.active and self.lam != 0.0:
+            raise ValueError(f"lambda: an inactive potential (potential = off) has lambda = 0, "
+                             f"got {self.lam}")
+        if not self.active and self.n is not None:
+            raise ValueError(f"n: an inactive potential has no truncation order, got {self.n}")
 
     @classmethod
     def truncated(cls, n: int, lam: float) -> "PotentialSpec":

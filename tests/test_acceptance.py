@@ -96,7 +96,7 @@ def test_criterion_02_mass_conservation(budget_runs):
         traj = dynamics.simulate(
             ModeVector(np.concatenate([[0.3, 0.2, -0.1], np.zeros(30)])), cfg
         )
-        assert np.max(np.abs(traj.observables["mean"] - 0.3)) <= 1e-12
+        assert np.max(np.abs(traj.states[:, 0] - 0.3)) <= 1e-12
         for (c, _), (_, res) in budget_runs.items():
             assert np.max(np.abs(res.final[:, 0] - c)) <= 1e-12
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chcsim import dynamics, noise, spectral
+from chcsim import coupling, dynamics, kinds, noise, observables, spectral
 from chcsim.dynamics import StiffEventError
 from chcsim.noise import CovarianceSpec
 from chcsim.spectral import ModeVector
@@ -35,7 +35,7 @@ def test_simulate_linear_decay():
     )
     traj = dynamics.simulate(ModeVector.unit(1, 8), cfg)
     exact = math.exp(-PI4 * 0.05 / 2.0) / math.pi
-    got = traj.observables["norm_m1"][-1]
+    got = observables.evaluate(observables.seminorm(-1.0), traj.states[-1], cfg)
     # the implicit scheme lags the exponential by exp(steps * (dt a/2)^2 / 2)
     assert abs(got - exact) / exact < cfg.dt * PI4
     assert traj.stiff_retries == 0
@@ -47,7 +47,7 @@ def test_simulate_deterministic_and_mass_exact():
     a = dynamics.simulate(x0, cfg)
     b = dynamics.simulate(x0, cfg)
     assert np.array_equal(a.states, b.states)
-    assert np.all(a.observables["mean"] == 0.2)
+    assert np.all(a.states[:, 0] == 0.2)
 
 
 def test_simulate_rejects_wrong_mean():
@@ -175,7 +175,8 @@ def test_stiff_retry_can_recover():
     )
     traj = dynamics.simulate(ModeVector.unit(2, 8, amplitude=0.85), cfg)
     assert traj.stiff_retries > 0
-    assert np.max(traj.observables["sup"]) <= cfg.sup_guard
+    sup = observables.evaluate(observables.sup_norm(), traj.states, cfg)
+    assert np.max(sup) <= cfg.sup_guard
 
 
 def test_ensemble_member_equals_path_through_stiff_retries():
@@ -263,7 +264,7 @@ def test_free_energy_decays_along_deterministic_flow():
     )
     x0 = ModeVector(np.concatenate([[0.0, 0.3, -0.2, 0.1], np.zeros(13)]))
     traj = dynamics.simulate(x0, cfg)
-    energy = traj.observables["energy"]
+    energy = observables.evaluate(observables.energy(), traj.states, cfg)
     scale = max(1.0, float(np.max(np.abs(energy))))
     assert np.all(np.diff(energy) <= 1e-9 * scale)
 
@@ -297,6 +298,27 @@ def test_sim_config_validation():
         make_cfg(M=16, cov=cov)  # covariance order mismatch
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # Philox keys take seed mod 2**64: -1 and 2**64 would alias seeds 2**64 - 1 and 0
+    with pytest.raises(ValueError) as err:
+        make_cfg(M=8, cov=standard_cov(8), seed=seed)
+    assert str(err.value) == f"seed: must fit in 64 bits, got {seed}"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda x0, cfg: dynamics.run_ensemble(x0, cfg, 0),
+     lambda x0, cfg: coupling.coupled_ensemble(x0, x0, cfg, 0)],
+    ids=["run_ensemble", "coupled_ensemble"],
+)
+def test_zero_replicas_rejected_by_name(run):
+    # zero rows once reached the thread pool and failed there without a key
+    with pytest.raises(ValueError) as err:
+        run(ModeVector.zeros(8), make_cfg(M=8, dt=1e-3, T=0.01, cov=standard_cov(8)))
+    assert str(err.value) == "replicas: must be >= 1, got 0"
+
+
 def test_batched_path_equals_simulate_through_retries():
     # row 0 retries on bridged substeps, row 1 never does; each row must equal
     # its own single run, and row 1 also member 1 of an ensemble
@@ -311,8 +333,9 @@ def test_batched_path_equals_simulate_through_retries():
     assert batch[0].stiff_retries == alone.stiff_retries
     assert np.array_equal(batch[0].times, alone.times)
     assert np.array_equal(batch[0].states, alone.states)
-    for name, values in alone.observables.items():
-        assert np.array_equal(batch[0].observables[name], values)
+    for _, phi in kinds.TRAJECTORY_COLUMNS:
+        assert np.array_equal(observables.evaluate(phi, batch[0].states, cfg),
+                              observables.evaluate(phi, alone.states, cfg))
     ens = dynamics.run_ensemble(calm, cfg, 2)
     assert np.array_equal(ens.final[1], batch[1].states[-1])
 

@@ -20,6 +20,9 @@ from chcsim.config import (
     parse_config_text,
 )
 from chcsim.kinds import BAND, KINDS
+from chcsim.potential import PotentialSpec
+
+from conftest import band_cov
 
 MINIMAL = """
 kind = simulate
@@ -311,6 +314,50 @@ def test_cli_overrides_enter_the_config_text(tmp_path, capsys):
         manifest = json.load(fh)
     cfg = parse_config_text(manifest["config"])
     assert (cfg.sim.seed, cfg.sim.threads) == (5, 2) and manifest["seed"] == 5
+
+
+def _sim(**change):
+    return dataclasses.replace(parse_config_text(MINIMAL).sim, **change)
+
+
+# (config text, the spec built from the same values, the message both raise):
+# each value rule is the spec's, and the parser passes its message on
+VALUE_RULES = [
+    pytest.param(MINIMAL.replace("b = 1:1.0", "b = 0:0.5"),
+                 lambda: band_cov(32, [(0, 0.5), (2, 1.0)], 2),
+                 "b[0]: mean-conservation violated: noise on mode 0 would break mean "
+                 "conservation, got 0.5", id="b0"),
+    pytest.param(MINIMAL + "b = 5:-0.25\n",
+                 lambda: band_cov(32, [(1, 1.0), (2, 1.0), (5, -0.25)], 2),
+                 "b[5]: noise coefficients must be finite and nonnegative, got -0.25",
+                 id="b-negative"),
+    pytest.param(_set(MINIMAL, "N", "33"), lambda: band_cov(32, [(1, 1.0), (2, 1.0)], 33),
+                 "N: band must lie in 0..32, got 33", id="N-above-M"),
+    pytest.param(_set(MINIMAL, "N", "-1"), lambda: band_cov(32, [(1, 1.0), (2, 1.0)], -1),
+                 "N: band must lie in 0..32, got -1", id="N-negative"),
+    pytest.param(MINIMAL.replace("b = 2:1.0", "b = 3:1.0"),
+                 lambda: band_cov(32, [(1, 1.0), (3, 1.0)], 2),
+                 "b[2]: the elliptic band assumption needs b_k > 0 for k = 1..2",
+                 id="b-zero-in-band"),
+    pytest.param(_drop(MINIMAL, "n").replace("potential = poly", "potential = off"),
+                 lambda: PotentialSpec(lam=1.0, active=False),
+                 "lambda: an inactive potential (potential = off) has lambda = 0, got 1.0",
+                 id="lambda-off"),
+    pytest.param(_set(MINIMAL, "seed", "-1"), lambda: _sim(seed=-1),
+                 "seed: must fit in 64 bits, got -1", id="seed-negative"),
+    pytest.param(_set(MINIMAL, "seed", str(2**64)), lambda: _sim(seed=2**64),
+                 f"seed: must fit in 64 bits, got {2**64}", id="seed-2^64"),
+]
+
+
+@pytest.mark.parametrize("text, build, message", VALUE_RULES)
+def test_value_rule_has_one_message(tmp_path, capsys, text, build, message):
+    with pytest.raises(ConfigError) as from_text:
+        parse_config_text(text)
+    with pytest.raises(ValueError) as from_spec:
+        build()
+    assert str(from_text.value) == str(from_spec.value) == message
+    _cli_exits_2_without_run_directory(tmp_path, capsys, "simulate", text, message.split(":")[0])
 
 
 # (kind, key, value, field): each parsed cleanly and then failed inside the run,
@@ -673,7 +720,7 @@ pair = os.path.join(configs, "pair.cfg")
 assert cli.main(["pair", "--config", pair, "--out", out]) == 0
 sim = config.parse_config(pair).sim
 states = np.random.default_rng(5).standard_normal((64, sim.M + 1))
-traj = dynamics.Trajectory(np.linspace(0.0, 1.0, 64), states, {}, sim)
+traj = dynamics.Trajectory(np.linspace(0.0, 1.0, 64), states, sim)
 assert ergodics.time_average(traj, observables.mode_moment(1, 2), burn_in=0.0).ci > 0.0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -725,7 +772,7 @@ def test_plot_takes_the_first_csv_with_t_and_the_series(tmp_path, capsys):
     run_dir = os.path.dirname(manifest_path)
     x, y = (np.loadtxt(os.path.join(run_dir, f"trajectory_{s}.csv"), delimiter=",",
                        skiprows=1) for s in "xy")
-    columns = [n for n, _ in dynamics.TRAJECTORY_COLUMNS]
+    columns = [n for n, _ in kinds.TRAJECTORY_COLUMNS]
     for series in ("mean", "energy"):  # distance.csv, listed first, has neither
         assert cli.main(["plot", "--manifest", manifest_path, "--series", series]) == 0
         plotted = np.loadtxt(capsys.readouterr().out.strip(), delimiter=",", skiprows=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chcsim import dynamics, observables, potential, spectral
+from chcsim import dynamics, kinds, observables, potential, spectral
 from chcsim.config import build_observable
 from conftest import make_cfg, perturbed_state
 
@@ -55,7 +55,6 @@ def test_trajectory_columns_equal_their_formulas():
         "sup": np.max(np.abs(spectral.synthesize_many(s, cfg.grid_size)), axis=-1),
         "energy": potential.free_energy_many(s, cfg.potential, cfg.grid_size),
     }
-    assert [name for name, _ in dynamics.TRAJECTORY_COLUMNS] == list(want)
-    assert list(traj.observables) == list(want)
-    for name, values in want.items():
-        assert np.array_equal(traj.observables[name], values)
+    assert [name for name, _ in kinds.TRAJECTORY_COLUMNS] == list(want)
+    for name, phi in kinds.TRAJECTORY_COLUMNS:
+        assert np.array_equal(observables.evaluate(phi, s, cfg), want[name])
