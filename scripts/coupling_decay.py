@@ -3,7 +3,6 @@
 contraction rate against the nominal and operational predictions."""
 
 import argparse
-import math
 
 import numpy as np
 
@@ -11,7 +10,6 @@ from chcsim import coupling, noise
 from chcsim.noise import CovarianceSpec
 from chcsim.potential import PotentialSpec
 from chcsim.dynamics import SimConfig
-from chcsim.spectral import ModeVector
 
 
 def main():

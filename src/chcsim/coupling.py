@@ -24,12 +24,15 @@ valid whenever alpha_{N+1} > lam.  The discrete log-weight
 is accumulated with the integrator's own increments (left-point rule), which
 makes exp(G) an exact discrete-time martingale: E[exp(G(T))] = 1 holds for
 every dt, not just in the limit.
+
+``coupled_ensemble`` is the one coupled-pair driver (its ``Engine`` books G
+and int |w|^2 with ``control=True``); ``simulate_coupled`` is its pair 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -127,13 +130,12 @@ def girsanov_bound(dist0: float, kappa: float, delta: float) -> float:
 
 @dataclass
 class CouplingRecord:
-    """Time series of one coupled pair."""
+    """Time series of one coupled pair on the save grid, with its rates."""
 
     times: np.ndarray
     dist_m1: np.ndarray  # |shifted(t) - target(t)|_{-1}
     control_sq_integral: np.ndarray  # running int_0^t |w|^2 ds
     log_weight: np.ndarray  # running G(t)
-    control_norm: np.ndarray  # |w(t)|_0 at the save grid
     rate: ContractionRate
     kappa: float
 
@@ -157,46 +159,15 @@ class CouplingRecord:
         return -float(slope)
 
 
-def _band_shift(cfg: SimConfig):
-    """Kernel band part (lam, alpha_band, sqrt_b); validates the band condition."""
-    contraction_rate(cfg.cov.band, cfg.potential.lam)
-    return (cfg.potential.lam, *_band_arrays(cfg.cov))
-
-
-def simulate_coupled(x0: ModeVector, y0: ModeVector, cfg: SimConfig) -> CouplingRecord:
-    """Integrate one coupled pair and record distance, control, and weight.
-
-    Copy 0 is the shifted copy started at x0, copy 1 the target started at
-    y0.  ``CouplingRecord.decay_envelope`` gives the pathwise bound the
-    distance must stay under.
-    """
-    band = _band_shift(cfg)
-    lam, alpha_band, sqrt_b = band
-    _, saved, running = dynamics._run_paths(
-        cfg, np.stack([dynamics._tile_starts(v, cfg, 1) for v in (x0, y0)]), band=band
-    )
-    diff = saved[0, 0] - saved[1, 0]
-    w = -(0.5 * lam) * alpha_band * diff[:, 1 : cfg.cov.band + 1] / sqrt_b
-    return CouplingRecord(
-        times=dynamics.save_steps(cfg) * cfg.dt,
-        dist_m1=np.sqrt(spectral.seminorm_sq_many(diff, -1.0)),
-        control_sq_integral=running["int_w_sq"][0],
-        log_weight=running["log_weight"][0],
-        control_norm=np.linalg.norm(w, axis=-1),
-        rate=contraction_rate(cfg.cov.band, lam),
-        kappa=control_gain(cfg.cov, lam),
-    )
-
-
 @dataclass
 class CoupledEnsemble:
-    """Batched coupled pairs sharing per-pair noise streams."""
+    """Batched coupled pairs sharing per-pair noise streams, on the save grid."""
 
     times: np.ndarray
-    log_weight: np.ndarray  # (R,) terminal G
-    int_w_sq: np.ndarray  # (R,)
+    log_weight: np.ndarray  # (R, S) running G
+    int_w_sq: np.ndarray  # (R, S) running int |w|^2 ds
     dist0: np.ndarray  # (R,)
-    dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances on the save grid
+    dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances
     failed_step: np.ndarray
 
     @property
@@ -210,26 +181,49 @@ def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
     x0/y0 may be single states or (R, M+1) batches of per-pair starts.
     Results are identical for any thread count (streams are keyed by the
     absolute pair index and outputs are written by index).  A pair out of
-    halvings aborts the run.
+    halvings aborts the run; a band with alpha_{N+1} <= lam raises
+    BandTooSmallError.
     """
-    kern = dynamics.Engine(cfg, replicas, copies=2, band=_band_shift(cfg))
+    contraction_rate(cfg.cov.band, cfg.potential.lam)
+    kern = dynamics.Engine(cfg, replicas, copies=2, control=True)
     starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
     pos = dynamics.save_positions(cfg)
-    dist_path = np.empty((replicas, len(pos)))
+    paths = {k: np.empty((replicas, len(pos))) for k in ("dist_sq", *dynamics.CONTROL_KEYS)}
 
     def record(span, step, states, *_):
-        if step in pos:
+        j = pos.get(step)
+        if j is not None:
             n = states.shape[0] // 2
-            dist_path[span, pos[step]] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
+            paths["dist_sq"][span, j] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
+            for key in dynamics.CONTROL_KEYS:
+                paths[key][span, j] = kern.sums[key][span]
 
     kern.run(starts, record)
     return CoupledEnsemble(
         times=dynamics.save_steps(cfg) * cfg.dt,
-        log_weight=kern.sums["log_weight"],
-        int_w_sq=kern.sums["int_w_sq"],
+        log_weight=paths["log_weight"],
+        int_w_sq=paths["int_w_sq"],
         dist0=np.sqrt(spectral.seminorm_sq_many(starts[0] - starts[1], -1.0)),
-        dist_sq_path=dist_path,
+        dist_sq_path=paths["dist_sq"],
         failed_step=kern.failed,
+    )
+
+
+def simulate_coupled(x0: ModeVector, y0: ModeVector, cfg: SimConfig) -> CouplingRecord:
+    """Integrate one coupled pair: pair 0 of ``coupled_ensemble``, with rates.
+
+    Copy 0 is the shifted copy started at x0, copy 1 the target started at
+    y0.  ``CouplingRecord.decay_envelope`` gives the pathwise bound the
+    distance must stay under.
+    """
+    ens = coupled_ensemble(x0, y0, cfg, 1)
+    return CouplingRecord(
+        times=ens.times,
+        dist_m1=np.sqrt(ens.dist_sq_path[0]),
+        control_sq_integral=ens.int_w_sq[0],
+        log_weight=ens.log_weight[0],
+        rate=contraction_rate(cfg.cov.band, cfg.potential.lam),
+        kappa=control_gain(cfg.cov, cfg.potential.lam),
     )
 
 
@@ -248,17 +242,25 @@ class GirsanovGap:
     replicas: int
 
 
+def _one_start_pair(x0, y0) -> None:
+    """The bounds are stated for one start pair, not for per-pair batches."""
+    if any(np.ndim(getattr(v, "coeffs", v)) != 1 for v in (x0, y0)):
+        raise ValueError("x0, y0: the bound takes one start pair, not per-pair batches")
+
+
 def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) -> GirsanovGap:
     """Estimate the weight gap E|1 - exp(G(T))| over coupled replicas.
 
     The bound is exp(v/2) sqrt(v) with v = kappa^2 |x-y|_{-1}^2 / (2 delta);
-    the martingale mean E[exp(G(T))] doubles as an exact oracle (= 1).
+    the martingale mean E[exp(G(T))] doubles as an exact oracle (= 1).  Only
+    t = 0 and t = T are read, so the pairs run on that two-point save grid.
     """
+    _one_start_pair(x0, y0)
     lam = cfg.potential.lam
     rate = contraction_rate(cfg.cov.band, lam)
     kappa = control_gain(cfg.cov, lam)
-    ens = coupled_ensemble(x0, y0, cfg, replicas)
-    weights = np.exp(ens.log_weight)
+    ens = coupled_ensemble(x0, y0, replace(cfg, save_every=cfg.steps), replicas)
+    weights = np.exp(ens.log_weight[:, -1])
     gap = np.abs(1.0 - weights)
     dist0 = float(ens.dist0[0])
     return GirsanovGap(
@@ -303,6 +305,7 @@ def asf_estimate(
     (floor term, |phi|_inf) with the coupling decay (exp(-delta t), lip).
     """
     phi.require_bounded_lipschitz()
+    _one_start_pair(x0, y0)
     lam = cfg.potential.lam
     rate = contraction_rate(cfg.cov.band, lam)
     kappa = control_gain(cfg.cov, lam)

@@ -18,15 +18,15 @@ Brownian-bridge refinement of its increment, up to ``max_halvings`` deep.  A
 row out of halvings fails: it raises ``StiffEventError`` at once, unless
 ``run_ensemble(..., strict=False)`` parks it at c e_0, where it stays.
 
-The engine books only the Girsanov sums of an optional band drift shift
-(``coupling``), for accepted substeps only; each driver reads every step
-through its own record hook.  Paths and pairs (``simulate``,
-``simulate_many``, ``simulate_pair``, ``coupling.simulate_coupled``) save
-states on the save grid, and a ``Trajectory`` holds only them and its
-stiff-retry count.  ``run_ensemble(..., record_budgets=True)`` alone books
-the Ito budget sums (trapezoid / left-point rule, as the energy-budget checks
-consume them) in its hook, for the steps a replica completed.  They never
-feed back into the step, so states are the same either way.
+The engine books only the Girsanov sums of the band control, and only with
+``control=True`` (``coupling.coupled_ensemble``), for accepted substeps
+only; each driver reads every step through its own record hook.  Paths and
+pairs (``simulate``, ``simulate_many``, ``simulate_pair``) save states on the
+save grid, and a ``Trajectory`` holds only them and its stiff-retry count.
+``run_ensemble(..., record_budgets=True)`` alone books the Ito budget sums
+(trapezoid / left-point rule, as the energy-budget checks consume them) in
+its hook, for the steps a replica completed.  They never feed back into the
+step, so states are the same either way.
 
 Noise row r draws its step normals in time blocks from stream (seed, r) and
 its bridge normals from ``noise.bridge_stream(seed, r)``, created at its
@@ -189,14 +189,14 @@ class Engine:
 
     A span of n noise rows holds `copies` stacked blocks of n state rows;
     noise row r drives state rows r, r + n, ... and draws from stream r.
-    band = (lam, alpha_band, sqrt_b) shifts the band drift of copy 0 to copy
-    1 and books the Girsanov sums, the engine's only sums.  A row out of
-    halvings raises, or with strict=False is marked in failed at its step
-    and parked.  sums, failed and retries are per noise row.
+    control=True (two copies) takes copy 0's lambda-term on the band of
+    cfg.cov at copy 1 and books that control's Girsanov sums, the engine's
+    only sums.  A row out of halvings raises, or with strict=False is marked
+    in failed at its step and parked.  sums, failed and retries are per row.
     """
 
     def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, strict: bool = True,
-                 band=None):
+                 control: bool = False):
         self.cfg = cfg
         self.Q = cfg.grid_size
         self.alpha = spectral.eigenvalues(cfg.M)
@@ -216,8 +216,11 @@ class Engine:
         )
         self.copies = copies
         self.strict = strict
-        self.band = band
-        self.sums = {k: np.zeros(rows) for k in CONTROL_KEYS} if band is not None else {}
+        self.control = control
+        self.band = slice(1, cfg.cov.band + 1)  # the control's modes 1..N
+        self.w_gain = -(0.5 * spec.lam) * self.alpha[self.band]
+        self.sqrt_b_band = np.sqrt(cfg.cov.b[self.band])
+        self.sums = {k: np.zeros(rows) for k in CONTROL_KEYS} if control else {}
         self.failed = np.full(rows, -1, dtype=np.int64)
         self.parked = False  # any row failed: only then does a step look for them
         self.retries = np.zeros(rows, dtype=np.int64)
@@ -344,11 +347,10 @@ class Engine:
         with increments eta; returns the new states and grids."""
         k = eta.shape[0]
         nl = self.nonlin_modes(grids) if self.needs_grid else None
-        if self.band is not None:
-            lam, alpha_band, sqrt_b = self.band
-            band = slice(1, alpha_band.size + 1)
+        if self.control:
+            lam, band, sqrt_b = self.cfg.potential.lam, self.band, self.sqrt_b_band
             y_band = states[:k, band] - states[k:, band]
-            w = -(0.5 * lam) * alpha_band * y_band / sqrt_b
+            w = self.w_gain * y_band / sqrt_b
             if lam != 0.0:
                 if nl is None:
                     nl = np.zeros_like(states)
@@ -373,7 +375,7 @@ class Engine:
                 states, grids, eta[rejected], dt, step, depth,
             )
 
-        if self.band is not None:  # the Girsanov sums of accepted substeps
+        if self.control:  # the Girsanov sums of accepted substeps
             w_sq = np.einsum("rk,rk->r", w, w)
             dW_band = eta[:, band] / sqrt_b
             booked = {"log_weight": np.einsum("rk,rk->r", w, dW_band) - 0.5 * w_sq * dt,
@@ -412,28 +414,21 @@ class Engine:
         return self._bridges[r]
 
 
-def _run_paths(cfg: SimConfig, starts: np.ndarray, *, band=None):
-    """Integrate starts (copies, R, M+1) with stiff retries, saving every state
-    row on the save grid.
-
-    Returns the engine, the saved states (copies, R, S, M+1) and, with a band
-    shift, the running Girsanov sums on the save grid, name -> (R, S).
-    """
+def _run_paths(cfg: SimConfig, starts: np.ndarray):
+    """Integrate starts (copies, R, M+1) with stiff retries; returns the
+    engine and every state row on the save grid, (copies, R, S, M+1)."""
     pos = save_positions(cfg)
     copies, R, K = starts.shape
     saved = np.empty((copies, R, len(pos), K))
-    running = {k: np.empty((R, len(pos))) for k in CONTROL_KEYS} if band else {}
-    kern = Engine(cfg, R, copies=copies, band=band)
+    kern = Engine(cfg, R, copies=copies)
 
     def record(span, step, states, *_):
         j = pos.get(step)
         if j is not None:
             saved[:, span, j] = states.reshape(copies, -1, K)
-            for key, acc in running.items():
-                acc[span, j] = kern.sums[key][span]
 
     kern.run(starts, record)
-    return kern, saved, running
+    return kern, saved
 
 
 def _trajectory(cfg: SimConfig, states: np.ndarray, retries: int) -> Trajectory:
@@ -447,7 +442,7 @@ def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
     stiff retries included, for any thread count.
     """
     starts = _tile_starts([getattr(x, "coeffs", x) for x in x_list], cfg, len(x_list))
-    kern, saved, _ = _run_paths(cfg, starts[None])
+    kern, saved = _run_paths(cfg, starts[None])
     return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
 
 
@@ -468,7 +463,7 @@ def simulate_pair(
     Returns both trajectories and the path of |X(t,x) - X(t,y)|_{-1} on the
     save grid.
     """
-    kern, saved, _ = _run_paths(cfg, np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)]))
+    kern, saved = _run_paths(cfg, np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)]))
     tx, ty = (_trajectory(cfg, saved[c, 0], kern.retries[0]) for c in (0, 1))
     return tx, ty, np.sqrt(spectral.seminorm_sq_many(tx.states - ty.states, -1.0))
 

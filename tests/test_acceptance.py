@@ -13,7 +13,6 @@ import pytest
 import scipy.stats
 
 from chcsim import coupling, dynamics, ergodics, noise, observables, potential, spectral
-from chcsim.noise import CovarianceSpec
 from chcsim.potential import PotentialSpec
 from chcsim.spectral import ModeVector
 

@@ -6,7 +6,6 @@ import pytest
 
 from chcsim import coupling, dynamics, observables, spectral
 from chcsim.coupling import BandTooSmallError
-from chcsim.noise import CovarianceSpec
 from chcsim.spectral import ModeVector
 
 from conftest import band_cov, make_cfg, perturbed_state, standard_cov
@@ -77,10 +76,7 @@ def test_coupled_contraction_invariants():
     delta = rec.rate.operational
     envelope = d0 * np.exp(-delta * rec.times) * 1.05
     assert np.all(rec.dist_m1 <= envelope)
-    # control magnitude and its tail integral, with discretization slack
-    assert np.all(
-        rec.control_norm <= rec.kappa * d0 * np.exp(-delta * rec.times) * 1.05 + 1e-14
-    )
+    # the control's tail integral, with discretization slack
     assert rec.control_sq_integral[-1] <= rec.kappa**2 * d0**2 / (2 * delta) * 1.05
     assert rec.fitted_rate() >= 0.9 * delta
 
@@ -90,7 +86,7 @@ def test_coupled_no_lambda_means_no_control():
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
     rec = coupling.simulate_coupled(x0, y0, cfg)
-    assert np.all(rec.control_norm == 0.0)
+    assert np.all(rec.control_sq_integral == 0.0)
     assert np.all(rec.log_weight == 0.0)
     assert rec.dist_m1[-1] < rec.dist_m1[0]
 
@@ -113,8 +109,8 @@ def test_coupled_ensemble_matches_single():
     rec = coupling.simulate_coupled(x0, y0, cfg)
     ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
     # the coupled path is pair 0 of the ensemble, bit for bit
-    assert ens.log_weight[0] == rec.log_weight[-1]
-    assert ens.int_w_sq[0] == rec.control_sq_integral[-1]
+    assert np.array_equal(ens.log_weight[0], rec.log_weight)
+    assert np.array_equal(ens.int_w_sq[0], rec.control_sq_integral)
     assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
 
 
@@ -128,8 +124,8 @@ def test_coupled_ensemble_member_equals_the_path_through_stiff_retries():
         coupling.simulate_coupled(x0, y0, dataclasses.replace(cfg, max_halvings=0))
     rec = coupling.simulate_coupled(x0, y0, cfg)
     ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
-    assert ens.log_weight[0] == rec.log_weight[-1]
-    assert ens.int_w_sq[0] == rec.control_sq_integral[-1]
+    assert np.array_equal(ens.log_weight[0], rec.log_weight)
+    assert np.array_equal(ens.int_w_sq[0], rec.control_sq_integral)
     assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
 
 
@@ -175,6 +171,32 @@ def test_girsanov_gap_statistics():
     assert abs(gg.martingale_mean - 1.0) <= 4.0 * gg.martingale_se
     assert gg.estimate <= gg.bound
     assert gg.estimate > 0.0
+
+
+def test_girsanov_gap_ignores_the_save_grid():
+    # the gap reads t = 0 and t = T only, so the config's save grid changes nothing
+    cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=1.0, seed=43)
+    x0, y0 = perturbed_state(cfg, 0.4, slot=0), perturbed_state(cfg, 0.4, slot=1)
+    gaps = [coupling.girsanov_gap(x0, y0, dataclasses.replace(cfg, save_every=k), replicas=8)
+            for k in (1, 7, 50)]
+    assert gaps[0] == gaps[1] == gaps[2]
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [lambda x0, y0, cfg: coupling.girsanov_gap(x0, y0, cfg, replicas=4),
+     lambda x0, y0, cfg: coupling.asf_estimate(observables.tanh_mode(1), x0, y0, [0.01], cfg,
+                                               replicas=4)],
+    ids=["girsanov_gap", "asf_estimate"],
+)
+def test_bounds_take_one_start_pair(estimate):
+    # one |x0 - y0|_{-1} enters the bound, so per-pair start batches are refused
+    cfg = make_cfg(M=16, dt=1e-3, T=0.01, cov=standard_cov(16), n=4, lam=1.0, seed=47)
+    x0 = np.zeros((4, 17))
+    y0 = x0.copy()
+    y0[:, 1] = [0.001, 0.01, 0.02, 0.05]
+    with pytest.raises(ValueError, match=r"x0, y0: .*one start pair"):
+        estimate(x0, y0, cfg)
 
 
 def test_girsanov_bound_formula():

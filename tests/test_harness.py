@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import glob
 import json
 import os
 import subprocess
@@ -16,7 +18,6 @@ from chcsim.config import (
     build_state,
     config_hash,
     emit_config,
-    parse_config,
     parse_config_text,
 )
 from chcsim.kinds import BAND, KINDS
@@ -847,3 +848,23 @@ def test_manifest_contents(tmp_path):
     assert "created_utc" in data
     parsed_back = parse_config_text(data["config"])
     assert parsed_back == cfg
+
+
+def test_no_unused_imports():
+    # no linter is installed: a module-level import that no name reads is dead
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    unused = []
+    for pattern in ("src/chcsim/*.py", "scripts/*.py", "tests/*.py", "bench/*.py"):
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            if path.endswith(os.path.join("chcsim", "__init__.py")):
+                continue  # the package's re-exports
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))
+                       and getattr(n, "module", None) != "__future__"]
+            unused += [f"{os.path.relpath(path, root)}: {a.asname or a.name}"
+                       for node in imports for a in node.names
+                       if (a.asname or a.name).split(".")[0] not in read]
+    assert unused == [], unused
