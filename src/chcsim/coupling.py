@@ -83,25 +83,6 @@ def contraction_rate(N: int, lam: float) -> ContractionRate:
     return ContractionRate(nominal=nominal, operational=operational)
 
 
-def _band_arrays(cov: CovarianceSpec):
-    """(alpha_k, sqrt(b_k)) on the band; CovarianceSpec keeps b_k > 0 there."""
-    band = slice(1, cov.band + 1)
-    return spectral.eigenvalues(cov.order)[band], np.sqrt(cov.b[band])
-
-
-def control(y: ModeVector, cov: CovarianceSpec, lam: float) -> ModeVector:
-    """Control w for a given difference y = shifted - target.
-
-    w_k = -(lam/2) alpha_k y_k / sqrt(b_k) on the band, zero elsewhere; its
-    L^2 size is at most (lam/2) max_k(alpha_k/sqrt(b_k)) |pi_low y|_0.
-    """
-    alpha_band, sqrt_b = _band_arrays(cov)
-    N = cov.band
-    out = np.zeros(cov.order + 1)
-    out[1 : N + 1] = -(0.5 * lam) * alpha_band * y.coeffs[1 : N + 1] / sqrt_b
-    return ModeVector(out)
-
-
 def control_gain(cov: CovarianceSpec, lam: float) -> float:
     """Operator norm of the control map from |.|_{-1} to the L^2 norm:
 
@@ -112,8 +93,9 @@ def control_gain(cov: CovarianceSpec, lam: float) -> float:
     """
     if cov.band == 0 or lam == 0.0:
         return 0.0
-    alpha_band, sqrt_b = _band_arrays(cov)
-    return 0.5 * abs(lam) * float(np.max(alpha_band**1.5 / sqrt_b))
+    band = slice(1, cov.band + 1)  # CovarianceSpec keeps b_k > 0 here
+    alpha_band = spectral.eigenvalues(cov.order)[band]
+    return 0.5 * abs(lam) * float(np.max(alpha_band**1.5 / np.sqrt(cov.b[band])))
 
 
 def girsanov_bound(dist0: float, kappa: float, delta: float) -> float:

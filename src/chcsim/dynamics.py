@@ -165,21 +165,31 @@ def _noise_blocks(seed: int, ids, n_active: int, steps: int):
     """Each step's (rows, n_active) standard normals; per row the sequence
     equals per-step draws from its stream.
 
-    One step-major (block, rows, n_active) buffer of about 64 MB is allocated
-    once and refilled in place for each time block: row r draws its block
-    into a contiguous scratch array, which is copied into buf[:, r].  A
-    yielded step is a contiguous view of the buffer that stays valid until
-    the next refill, so a caller must be done with it when it asks for the
-    next step.
+    One step-major (block, rows, n_active) buffer of about 32 MiB is allocated
+    once and refilled in place for each time block.  Rows draw their blocks
+    into a row-major tile of 16 rows, which one transposing copy moves into
+    the buffer, each row's n_active normals moved as one item.  A yielded
+    step is a contiguous view of the buffer that stays valid until the next
+    refill, so a caller must be done with it when it asks for the next step.
     """
     gens = [noise.stream(seed, r) for r in ids]
-    block = max(1, min(steps, 8_000_000 // max(1, len(gens) * n_active)))
-    buf = np.empty((block, len(gens), n_active))
-    scratch = np.empty((block, n_active))
+    rows = len(gens)
+    # 2^22 normals (32 MiB) rounded up to whole steps: glibc's malloc maps a block
+    # that large on its own at any threshold and unmaps it when freed, so a run
+    # repeated in one process never leaves a second buffer resident on its heap
+    block = max(1, min(steps, -(-(1 << 22) // max(1, rows * n_active))))
+    buf = np.empty((block, rows, n_active))
+    tile = np.empty((min(16, rows), block, n_active))
+    if n_active:  # one item: a row's n_active normals at one step
+        item = np.dtype((np.void, 8 * n_active))
+        dst, src = buf.view(item)[..., 0], tile.view(item)[..., 0]
     for lo in range(0, steps, block):
         nb = min(block, steps - lo)
-        for r, gen in enumerate(gens):
-            buf[:nb, r] = gen.standard_normal(out=scratch[:nb])
+        for t0 in range(0, rows if n_active else 0, len(tile)):
+            part = gens[t0 : t0 + len(tile)]
+            for i, gen in enumerate(part):
+                gen.standard_normal(out=tile[i, :nb])
+            dst[:nb, t0 : t0 + len(part)] = src[: len(part), :nb].T
         yield from buf[:nb]
 
 
@@ -205,7 +215,7 @@ class Engine:
         self.sqrt_b_active = np.sqrt(cfg.cov.b[self.active])
         self.inv_alpha = np.zeros(cfg.M + 1)
         self.inv_alpha[1:] = 1.0 / self.alpha[1:]
-        self._per_dt: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._per_dt: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         spec = cfg.potential
         self.guard = cfg.sup_guard
         if spec.is_exact:
@@ -214,6 +224,7 @@ class Engine:
         self.grad_mat = (
             spectral.gradient_matrix(cfg.M, self.Q) if spec.is_truncated else None
         )
+        self.rows = rows
         self.copies = copies
         self.strict = strict
         self.control = control
@@ -226,13 +237,23 @@ class Engine:
         self.retries = np.zeros(rows, dtype=np.int64)
         self._bridges: dict[int, np.random.Generator] = {}
 
-    def per_dt(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(1 + (dt/2) alpha^2, (dt/2) alpha): the step's divisor and the
-        nonlinearity's scale, computed once per step size."""
-        pair = self._per_dt.get(dt)
-        if pair is None:
-            pair = self._per_dt[dt] = (1.0 + 0.5 * dt * self.alpha_sq, (0.5 * dt) * self.alpha)
-        return pair
+    def per_dt(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(1 + (dt/2) alpha^2, (dt/2) alpha, sqrt(b dt) on the active modes):
+        the step's divisor, the nonlinearity's scale and the noise scale,
+        computed once per step size.  At cfg.dt the divisor is tiled to every
+        state row and the noise scale to every noise row, so a batch, a row
+        prefix, divides and scales in one contiguous loop rather than one
+        broadcast loop per row.  A retry's dt/2^k keeps one broadcast row, so
+        the cache does not grow with rows times halving depth."""
+        coef = self._per_dt.get(dt)
+        if coef is None:
+            n, n_states = (self.rows, self.rows * self.copies) if dt == self.cfg.dt else (1, 1)
+            coef = self._per_dt[dt] = (
+                np.tile(1.0 + 0.5 * dt * self.alpha_sq, (n_states, 1)),
+                (0.5 * dt) * self.alpha,
+                np.tile(self.sqrt_b_active * math.sqrt(dt), (n, 1)),
+            )
+        return coef
 
     def grid(self, states: np.ndarray) -> np.ndarray:
         return spectral.synthesize_many(states, self.Q)
@@ -246,7 +267,7 @@ class Engine:
         """Scaled increments (variance b_k dt) from standard normals on the band,
         written into the active columns of out; its other columns must be zero."""
         if self.active.size:
-            out[..., self.active] = xi * (self.sqrt_b_active * math.sqrt(dt))
+            out[..., self.active] = xi * self.per_dt(dt)[2][: len(xi)]
         return out
 
     def advance(
@@ -254,12 +275,12 @@ class Engine:
     ) -> np.ndarray:
         """The semi-implicit step; nl, the step's own analysed nonlinearity,
         is scaled in place."""
-        denom, scale = self.per_dt(dt)
+        denom, scale, _ = self.per_dt(dt)
         num = states + eta
         if nl is not None:
             nl *= scale
             num += nl
-        num /= denom
+        num /= denom[: len(num)]
         return num
 
     # -- budget integrands, read by run_ensemble's hook -------------------

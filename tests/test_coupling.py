@@ -31,15 +31,21 @@ def test_contraction_rate_band_too_small():
         coupling.contraction_rate(0, 50.0)  # alpha_1 < 50
 
 
+def engine_control(cov, lam, y):
+    """The control the coupled runs integrate, w_k = w_gain_k y_k / sqrt(b_k)
+    on the band modes 1..N."""
+    eng = dynamics.Engine(make_cfg(M=cov.order, cov=cov, lam=lam), 1, copies=2, control=True)
+    return eng.w_gain * y.coeffs[eng.band] / eng.sqrt_b_band
+
+
 def test_control_values():
     cov = standard_cov(8)
-    zero = coupling.control(ModeVector.zeros(8), cov, 2.0)
-    assert np.all(zero.coeffs == 0.0)
-    nolam = coupling.control(ModeVector.unit(1, 8), cov, 0.0)
-    assert np.all(nolam.coeffs == 0.0)
-    w = coupling.control(ModeVector.unit(1, 8), cov, 2.0)
-    assert w.coeffs[1] == pytest.approx(-(PI**2), rel=1e-12)
-    assert np.all(w.coeffs[2:] == 0.0) and w.coeffs[0] == 0.0
+    assert np.all(engine_control(cov, 2.0, ModeVector.zeros(8)) == 0.0)
+    assert np.all(engine_control(cov, 0.0, ModeVector.unit(1, 8)) == 0.0)
+    w = engine_control(cov, 2.0, ModeVector.unit(1, 8))
+    assert w.shape == (cov.band,)  # modes 1..N only
+    assert w[0] == pytest.approx(-(PI**2), rel=1e-12)
+    assert w[1] == 0.0
 
 
 def test_control_gains():
@@ -50,8 +56,8 @@ def test_control_gains():
     assert coupling.control_gain(cov, 0.0) == 0.0
     # control size against the gain, mode by mode
     y = ModeVector(np.array([0.0, 0.3, -0.2, 0.5, 0.0, 0, 0, 0, 0]))
-    w = coupling.control(y, cov, lam)
-    assert np.linalg.norm(w.coeffs) <= coupling.control_gain(cov, lam) * spectral.seminorm(
+    w = engine_control(cov, lam, y)
+    assert np.linalg.norm(w) <= coupling.control_gain(cov, lam) * spectral.seminorm(
         y, -1.0
     ) * (1 + 1e-12)
 

@@ -340,13 +340,14 @@ def test_batched_path_equals_simulate_through_retries():
     assert np.array_equal(ens.final[1], batch[1].states[-1])
 
 
-# 5000 rows x 1700 steps x 2 modes: time blocks of 800, 800 and 100 steps
+# 5000 rows x 1700 steps x 2 modes: four time blocks of 420 steps (2^22
+# normals rounded up to whole steps) and one of 20
 NOISE_ROWS, NOISE_STEPS, NOISE_MODES = 5000, 1700, 2
 
 
 def test_noise_blocks_rows_equal_their_streams():
     # each row's steps equal direct draws from its stream, in chunks of 100
-    # steps that cross the block boundaries at steps 800 and 1600
+    # steps that cross the block boundaries at steps 420, 840, 1260 and 1680
     refs = [noise.stream(3, r) for r in range(NOISE_ROWS)]
     views = dynamics._noise_blocks(3, range(NOISE_ROWS), NOISE_MODES, NOISE_STEPS)
     count = 0
@@ -371,6 +372,95 @@ def test_noise_blocks_refill_one_buffer():
         tracemalloc.stop()
     assert first.base is last.base
     assert peak < 1.2 * first.base.nbytes
+
+
+@pytest.mark.parametrize("ids, n_active", [
+    (range(37), 1),  # two 16-row tiles and a partial one
+    (range(37), 3),
+    (range(5, 42), 2),  # a span that starts at row 5 draws streams 5..41
+    (range(37), 0),
+])
+def test_noise_blocks_tiles_keep_rows_on_their_streams(ids, n_active):
+    steps = 30
+    expect = np.stack([noise.stream(3, r).standard_normal((steps, n_active)) for r in ids],
+                      axis=1)
+    views = list(dynamics._noise_blocks(3, ids, n_active, steps))
+    assert all(xi.shape == (len(ids), n_active) and xi.flags.c_contiguous for xi in views)
+    assert np.array_equal(np.array([xi.copy() for xi in views]), expect)
+
+
+def broadcast_step(cfg, states, eta, dt, nl):
+    """The semi-implicit step with its (M+1,) coefficient rows broadcast."""
+    alpha = spectral.eigenvalues(cfg.M)
+    num = states + eta
+    if nl is not None:
+        num = num + nl * ((0.5 * dt) * alpha)
+    return num / (1.0 + 0.5 * dt * alpha**2)
+
+
+def test_tiled_coefficients_equal_the_broadcast_step(rng):
+    cfg = make_cfg(M=8)
+    eng = dynamics.Engine(cfg, 5)
+    states, eta, nl = (rng.standard_normal((3, cfg.M + 1)) for _ in range(3))
+    # a prefix batch: 3 of the 5 rows the tiles hold
+    assert np.array_equal(eng.advance(states, eta, cfg.dt, nl.copy()),
+                          broadcast_step(cfg, states, eta, cfg.dt, nl))
+    assert np.array_equal(eng.advance(states, eta, cfg.dt, None),
+                          broadcast_step(cfg, states, eta, cfg.dt, None))
+    xi = rng.standard_normal((3, eng.active.size))
+    assert np.array_equal(eng.scatter_noise(xi, cfg.dt, np.zeros((3, cfg.M + 1)))[:, eng.active],
+                          xi * (eng.sqrt_b_active * math.sqrt(cfg.dt)))
+    # copies = 2: two noise rows hold four state rows
+    pair = dynamics.Engine(cfg, 2, copies=2)
+    states, eta, nl = (rng.standard_normal((4, cfg.M + 1)) for _ in range(3))
+    assert np.array_equal(pair.advance(states, eta, cfg.dt, nl.copy()),
+                          broadcast_step(cfg, states, eta, cfg.dt, nl))
+
+
+def test_retried_substeps_equal_the_broadcast_step(monkeypatch):
+    # reject row 1 of 3 at its first candidate: it reruns on two dt/2 substeps
+    cfg = make_cfg(M=8, dt=1e-3, T=3e-3, seed=17)
+    x0 = [perturbed_state(cfg, 0.3, slot=s) for s in range(3)]
+    sup_ok, advance = dynamics.Engine.sup_ok, dynamics.Engine.advance
+    checks, calls = [], []
+
+    def reject_row_1_once(self, grids):
+        checks.append(grids.shape[0])
+        ok = sup_ok(self, grids)
+        if len(checks) == 2:  # check 1 tests the starts
+            ok[1] = False
+        return ok
+
+    def checked_advance(self, states, eta, dt, nl):
+        expect = broadcast_step(self.cfg, states, eta, dt, nl)
+        out = advance(self, states, eta, dt, nl)
+        calls.append((states.shape[0], dt))
+        assert np.array_equal(out, expect)
+        return out
+
+    monkeypatch.setattr(dynamics.Engine, "sup_ok", reject_row_1_once)
+    monkeypatch.setattr(dynamics.Engine, "advance", checked_advance)
+    paths = dynamics.simulate_many(x0, cfg)
+    assert calls[:3] == [(3, cfg.dt), (1, cfg.dt / 2), (1, cfg.dt / 2)]
+    assert [p.stiff_retries for p in paths] == [0, 1, 0]
+
+
+def test_engine_tiles_do_not_grow_with_halving_depth():
+    # lam = 60 at n = 0: row 1, started at 0.5 e_1, runs out of halvings at step 1
+    shapes = {}
+    for halvings in (1, 8):
+        cfg = make_cfg(M=8, dt=1e-2, T=0.02, cov=standard_cov(8), n=0, lam=60.0,
+                       sup_guard=1.0, seed=3, max_halvings=halvings)
+        eng = dynamics.Engine(cfg, 3, strict=False)
+        starts = np.zeros((1, 3, cfg.M + 1))
+        starts[0, 1, 1] = 0.5
+        eng.run(starts, lambda *args: None)
+        assert eng.failed.tolist() == [-1, 1, -1]
+        # cfg.dt, each dt/2^k down to the last halving, and the bridge's dt = 1
+        assert len(eng._per_dt) == halvings + 2
+        shapes[halvings] = sorted(a.shape for coef in eng._per_dt.values() for a in coef
+                                  if a.ndim == 2 and a.shape[0] > 1)
+    assert shapes[1] == shapes[8] == [(3, 2), (3, cfg.M + 1)]
 
 
 def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
