@@ -32,7 +32,6 @@ def main():
         cov=CovarianceSpec(b, args.band),
         seed=args.seed, save_every=20,
     )
-    rate = coupling.contraction_rate(args.band, args.lam)
 
     rng = noise.aux_stream(args.seed, 0)
     var = noise.stationary_variances(cfg.cov)
@@ -45,13 +44,11 @@ def main():
 
     ens = coupling.coupled_ensemble(starts(rng), starts(rng), cfg, args.pairs)
     dist = np.sqrt(ens.dist_sq_path)
-    fitted = np.array(
-        [-np.polyfit(ens.times, np.log(dist[r]), 1)[0] for r in range(args.pairs)]
-    )
-    print(f"nominal rate      : {rate.nominal:10.4f}")
-    print(f"operational rate  : {rate.operational:10.4f}")
+    fitted = ens.fitted_rates()
+    print(f"nominal rate      : {ens.rate.nominal:10.4f}")
+    print(f"operational rate  : {ens.rate.operational:10.4f}")
     print(f"fitted rates      : min {fitted.min():.4f}  median {np.median(fitted):.4f}  max {fitted.max():.4f}")
-    print(f"pathwise envelope : {'OK' if np.all(dist <= ens.dist0[:, None] * np.exp(-rate.operational * ens.times) * 1.05 + 1e-300) else 'VIOLATED'}")
+    print(f"pathwise envelope : {'OK' if np.all(dist <= ens.decay_envelope() + 1e-300) else 'VIOLATED'}")
 
     if args.csv:
         header = "t," + ",".join(f"pair{r}" for r in range(args.pairs))

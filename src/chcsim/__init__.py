@@ -17,8 +17,6 @@ from .coupling import (  # noqa: F401
     AsfEstimate,
     BandTooSmallError,
     ContractionRate,
-    CouplingRecord,
     contraction_rate,
-    simulate_coupled,
 )
 from .ergodics import ErgodicReport, ObservableSpec, TimeAverage  # noqa: F401

@@ -185,7 +185,7 @@ KEYS = {
     "radius": Key(_FLOAT, "radius"),
     "sweep_n": Key(_int_from(0, "truncation order must be >= 0"), "sweep_n", many=True),
     "out": Key(_TEXT, "out"),
-    "threads": Key(_int_from(1, "needs at least 1 worker thread"), "sim.threads"),
+    "threads": Key(_INT, "sim.threads"),
     "save_states": Key(_BOOL, "save_states", emit=lambda cfg: str(cfg.save_states).lower()),
 }
 

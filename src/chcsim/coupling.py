@@ -26,7 +26,8 @@ makes exp(G) an exact discrete-time martingale: E[exp(G(T))] = 1 holds for
 every dt, not just in the limit.
 
 ``coupled_ensemble`` is the one coupled-pair driver (its ``Engine`` books G
-and int |w|^2 with ``control=True``); ``simulate_coupled`` is its pair 0.
+and int |w|^2 with ``control=True``); its result carries the rate, kappa,
+the decay envelope and each pair's fitted rate, and one coupled path is pair 0.
 """
 
 from __future__ import annotations
@@ -111,39 +112,9 @@ def girsanov_bound(dist0: float, kappa: float, delta: float) -> float:
 
 
 @dataclass
-class CouplingRecord:
-    """Time series of one coupled pair on the save grid, with its rates."""
-
-    times: np.ndarray
-    dist_m1: np.ndarray  # |shifted(t) - target(t)|_{-1}
-    control_sq_integral: np.ndarray  # running int_0^t |w|^2 ds
-    log_weight: np.ndarray  # running G(t)
-    rate: ContractionRate
-    kappa: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.control_sq_integral) < -1e-15):
-            raise ValueError("control integral must be non-decreasing")
-        if np.any(self.dist_m1 < 0):
-            raise ValueError("distances must be nonnegative")
-
-    def decay_envelope(self, tol: float = CONTRACTION_TOL) -> np.ndarray:
-        return self.dist_m1[0] * np.exp(-self.rate.operational * self.times) * (1.0 + tol)
-
-    def fitted_rate(self) -> float:
-        """Least-squares slope of -log(dist) over the recorded window."""
-        good = self.dist_m1 > 0
-        if np.sum(good) < 2:
-            return math.inf
-        t = self.times[good]
-        y = np.log(self.dist_m1[good])
-        slope = np.polyfit(t, y, 1)[0]
-        return -float(slope)
-
-
-@dataclass
 class CoupledEnsemble:
-    """Batched coupled pairs sharing per-pair noise streams, on the save grid."""
+    """Batched coupled pairs sharing per-pair noise streams, on the save grid
+    (row r is pair r), with the band's contraction rate and control gain."""
 
     times: np.ndarray
     log_weight: np.ndarray  # (R, S) running G
@@ -151,10 +122,27 @@ class CoupledEnsemble:
     dist0: np.ndarray  # (R,)
     dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances
     failed_step: np.ndarray
+    rate: ContractionRate
+    kappa: float  # control_gain of the band
 
     @property
     def n_failed(self) -> int:
         return int(np.sum(self.failed_step >= 0))
+
+    def decay_envelope(self, tol: float = CONTRACTION_TOL) -> np.ndarray:
+        """(R, S): each pair's start distance times exp(-delta t), times 1 + tol."""
+        dist_start = np.sqrt(self.dist_sq_path[:, :1])
+        return dist_start * np.exp(-self.rate.operational * self.times) * (1.0 + tol)
+
+    def fitted_rates(self) -> np.ndarray:
+        """(R,): per pair, the least-squares slope of -log(dist) over its
+        positive distances, or inf where fewer than two are positive."""
+        out = np.full(len(self.dist_sq_path), math.inf)
+        for r, dist_sq in enumerate(self.dist_sq_path):
+            good = dist_sq > 0
+            if np.sum(good) >= 2:
+                out[r] = -np.polyfit(self.times[good], np.log(np.sqrt(dist_sq[good])), 1)[0]
+        return out
 
 
 def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
@@ -166,7 +154,7 @@ def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
     halvings aborts the run; a band with alpha_{N+1} <= lam raises
     BandTooSmallError.
     """
-    contraction_rate(cfg.cov.band, cfg.potential.lam)
+    rate = contraction_rate(cfg.cov.band, cfg.potential.lam)
     kern = dynamics.Engine(cfg, replicas, copies=2, control=True)
     starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
     pos = dynamics.save_positions(cfg)
@@ -188,23 +176,7 @@ def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
         dist0=np.sqrt(spectral.seminorm_sq_many(starts[0] - starts[1], -1.0)),
         dist_sq_path=paths["dist_sq"],
         failed_step=kern.failed,
-    )
-
-
-def simulate_coupled(x0: ModeVector, y0: ModeVector, cfg: SimConfig) -> CouplingRecord:
-    """Integrate one coupled pair: pair 0 of ``coupled_ensemble``, with rates.
-
-    Copy 0 is the shifted copy started at x0, copy 1 the target started at
-    y0.  ``CouplingRecord.decay_envelope`` gives the pathwise bound the
-    distance must stay under.
-    """
-    ens = coupled_ensemble(x0, y0, cfg, 1)
-    return CouplingRecord(
-        times=ens.times,
-        dist_m1=np.sqrt(ens.dist_sq_path[0]),
-        control_sq_integral=ens.int_w_sq[0],
-        log_weight=ens.log_weight[0],
-        rate=contraction_rate(cfg.cov.band, cfg.potential.lam),
+        rate=rate,
         kappa=control_gain(cfg.cov, cfg.potential.lam),
     )
 
@@ -238,9 +210,6 @@ def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) 
     t = 0 and t = T are read, so the pairs run on that two-point save grid.
     """
     _one_start_pair(x0, y0)
-    lam = cfg.potential.lam
-    rate = contraction_rate(cfg.cov.band, lam)
-    kappa = control_gain(cfg.cov, lam)
     ens = coupled_ensemble(x0, y0, replace(cfg, save_every=cfg.steps), replicas)
     weights = np.exp(ens.log_weight[:, -1])
     gap = np.abs(1.0 - weights)
@@ -248,11 +217,11 @@ def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) 
     return GirsanovGap(
         estimate=float(np.mean(gap)),
         se=float(np.std(gap, ddof=1) / math.sqrt(replicas)),
-        bound=girsanov_bound(dist0, kappa, rate.operational),
+        bound=girsanov_bound(dist0, ens.kappa, ens.rate.operational),
         martingale_mean=float(np.mean(weights)),
         martingale_se=float(np.std(weights, ddof=1) / math.sqrt(replicas)),
-        kappa=kappa,
-        delta=rate.operational,
+        kappa=ens.kappa,
+        delta=ens.rate.operational,
         dist0=dist0,
         replicas=replicas,
     )
@@ -282,8 +251,8 @@ def asf_estimate(
 ) -> list[AsfEstimate]:
     """Two-start smoothing estimates with common random numbers.
 
-    Both ensembles reuse the same per-replica streams, so the difference of
-    means is estimated pairwise.  The bound combines the Girsanov gap bound
+    Both starts run ``dynamics.run_paths`` on the same per-replica streams,
+    so the difference of means is estimated pairwise.  The bound combines the Girsanov gap bound
     (floor term, |phi|_inf) with the coupling decay (exp(-delta t), lip).
     """
     phi.require_bounded_lipschitz()
@@ -296,15 +265,18 @@ def asf_estimate(
     snap = sorted(set(int(round(t / cfg.dt)) for t in ts))
     if any(s < 1 or s > cfg.steps for s in snap):
         raise ValueError("requested times fall outside the horizon")
-    res_x = dynamics.run_ensemble(x0, cfg, replicas, snap_steps=snap)
-    res_y = dynamics.run_ensemble(y0, cfg, replicas, snap_steps=snap)
+    # one run per start, so that each row retries on its own path
+    states_x, states_y = (
+        dynamics.run_paths(cfg, dynamics._tile_starts(v, cfg, replicas)[None], snap)[1][0]
+        for v in (x0, y0)
+    )
 
     floor = girsanov_bound(dist0, kappa, rate.operational) * phi.sup_bound
     out = []
-    for s in snap:
+    for j, s in enumerate(snap):
         t = s * cfg.dt
-        vx = observables.evaluate(phi, res_x.snapshots[s], cfg)
-        vy = observables.evaluate(phi, res_y.snapshots[s], cfg)
+        vx = observables.evaluate(phi, states_x[:, j], cfg)
+        vy = observables.evaluate(phi, states_y[:, j], cfg)
         diff = vx - vy
         lhs = abs(float(np.mean(diff)))
         se = float(np.std(diff, ddof=1) / math.sqrt(replicas))

@@ -22,7 +22,8 @@ The engine books only the Girsanov sums of the band control, and only with
 ``control=True`` (``coupling.coupled_ensemble``), for accepted substeps
 only; each driver reads every step through its own record hook.  Paths and
 pairs (``simulate``, ``simulate_many``, ``simulate_pair``) save states on the
-save grid, and a ``Trajectory`` holds only them and its stiff-retry count.
+save grid, and a ``Trajectory`` holds only them and its stiff-retry count;
+they run on ``run_paths``, which saves states at any chosen steps.
 ``run_ensemble(..., record_budgets=True)`` alone books the Ito budget sums
 (trapezoid / left-point rule, as the energy-budget checks consume them) in
 its hook, for the steps a replica completed.  They never feed back into the
@@ -291,8 +292,7 @@ class Engine:
         if self.grad_mat is None or grids is None:
             gg = np.zeros_like(h1)
         else:
-            # einsum, not BLAS: a row's value must not depend on its batch size
-            grad = np.einsum("...k,kq->...q", states[..., 1:], self.grad_mat)
+            grad = spectral._tiled_matmul(states[..., 1:], self.grad_mat)
             u2 = grids * grids
             power_sum = np.ones_like(u2)
             for _ in range(self.cfg.potential.n):  # 1 + u2 * power_sum
@@ -435,10 +435,11 @@ class Engine:
         return self._bridges[r]
 
 
-def _run_paths(cfg: SimConfig, starts: np.ndarray):
+def run_paths(cfg: SimConfig, starts: np.ndarray, steps):
     """Integrate starts (copies, R, M+1) with stiff retries; returns the
-    engine and every state row on the save grid, (copies, R, S, M+1)."""
-    pos = save_positions(cfg)
+    engine and every state row at the distinct step indices `steps`, each in
+    0..cfg.steps, as (copies, R, len(steps), M+1) in the order given."""
+    pos = {int(s): j for j, s in enumerate(steps)}
     copies, R, K = starts.shape
     saved = np.empty((copies, R, len(pos), K))
     kern = Engine(cfg, R, copies=copies)
@@ -463,7 +464,7 @@ def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
     stiff retries included, for any thread count.
     """
     starts = _tile_starts([getattr(x, "coeffs", x) for x in x_list], cfg, len(x_list))
-    kern, saved = _run_paths(cfg, starts[None])
+    kern, saved = run_paths(cfg, starts[None], save_steps(cfg))
     return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
 
 
@@ -484,7 +485,8 @@ def simulate_pair(
     Returns both trajectories and the path of |X(t,x) - X(t,y)|_{-1} on the
     save grid.
     """
-    kern, saved = _run_paths(cfg, np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)]))
+    starts = np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)])
+    kern, saved = run_paths(cfg, starts, save_steps(cfg))
     tx, ty = (_trajectory(cfg, saved[c, 0], kern.retries[0]) for c in (0, 1))
     return tx, ty, np.sqrt(spectral.seminorm_sq_many(tx.states - ty.states, -1.0))
 
@@ -503,7 +505,6 @@ class EnsembleResult:
     failed_step: np.ndarray  # (R,), -1 where the replica completed
     norm_m1_sq: np.ndarray  # (R, S) squared H^-1 norms on the save grid
     budgets: dict = field(default_factory=dict)  # name -> (R,)
-    snapshots: dict = field(default_factory=dict)  # step index -> (R, M+1)
 
     @property
     def n_failed(self) -> int:
@@ -516,7 +517,6 @@ def run_ensemble(
     replicas: int,
     *,
     record_budgets: bool = False,
-    snap_steps=(),
     strict: bool = True,
 ) -> EnsembleResult:
     """Integrate `replicas` independent copies with per-replica noise streams.
@@ -526,16 +526,13 @@ def run_ensemble(
     so results are bit-identical for any thread count, and member r equals
     ``simulate_many``'s path r.  A replica out of halvings aborts the run,
     or with strict=False is parked at c e_0 and surfaced in failed_step.
+    Only final states are kept (``run_paths`` saves states at chosen steps).
     Each replica's squared H^-1 norm is recorded on the save grid;
     record_budgets books the five budget sums over the steps each replica
     completed (see the module docstring).
     """
     starts = _tile_starts(x0, cfg, replicas)
     pos = save_positions(cfg)
-    snapshots = {s: np.empty((replicas, cfg.M + 1)) for s in sorted(set(map(int, snap_steps)))}
-    for s in snapshots:
-        if not 0 <= s <= cfg.steps:
-            raise ValueError(f"snapshot step {s} outside 0..{cfg.steps}")
     norm_m1_sq = np.empty((replicas, len(pos)))
     kern = Engine(cfg, replicas, strict=strict)
     budgets = {k: np.zeros(replicas) for k in BUDGET_KEYS} if record_budgets else {}
@@ -544,8 +541,6 @@ def run_ensemble(
     def record(span, step, states, grids, eta):
         if step in pos:
             norm_m1_sq[span, pos[step]] = spectral.seminorm_sq_many(states, -1.0)
-        if step in snapshots:
-            snapshots[step][span] = states
         if budgets:
             h = kern.h_integrands(states, grids)
             if eta is not None:  # trapezoid integrals, then left-point martingales
@@ -563,5 +558,4 @@ def run_ensemble(
         failed_step=kern.failed,
         norm_m1_sq=norm_m1_sq,
         budgets=budgets,
-        snapshots=snapshots,
     )

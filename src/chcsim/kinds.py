@@ -181,19 +181,19 @@ def _pair(cfg, states, y_state, phis, out):
 
 
 def _couple(cfg, states, y_state, phis, out):
-    record = coupling.simulate_coupled(states[0], y_state, cfg.sim)
+    ens = coupling.coupled_ensemble(states[0], y_state, cfg.sim, 1)
+    dist = np.sqrt(ens.dist_sq_path[0])
     out.csv(
         "coupling.csv",
         ["t", "dist_m1", "control_sq_integral", "log_weight"],
-        [record.times, record.dist_m1, record.control_sq_integral, record.log_weight],
+        [ens.times, dist, ens.int_w_sq[0], ens.log_weight[0]],
     )
-    envelope = record.decay_envelope(coupling.CONTRACTION_TOL)
-    fitted = record.fitted_rate()
+    fitted = float(ens.fitted_rates()[0])
     checks = {
-        "contraction_pathwise": bool(np.all(record.dist_m1 <= envelope + 1e-300)),
-        "fitted_rate": bool(fitted >= 0.9 * record.rate.operational),
+        "contraction_pathwise": bool(np.all(dist <= ens.decay_envelope()[0] + 1e-300)),
+        "fitted_rate": bool(fitted >= 0.9 * ens.rate.operational),
     }
-    return checks, {"rates": {**record.rate._asdict(), "fitted": fitted, "kappa": record.kappa}}
+    return checks, {"rates": {**ens.rate._asdict(), "fitted": fitted, "kappa": ens.kappa}}
 
 
 def _girsanov(cfg, states, y_state, phis, out):

@@ -237,11 +237,6 @@ def free_energy_many(coeffs: np.ndarray, spec: PotentialSpec, Q: int | None = No
     return 0.5 * grad_sq + np.mean(pot, axis=-1)
 
 
-def free_energy(v: spectral.ModeVector, spec: PotentialSpec, Q: int | None = None) -> float:
-    """Free energy of a single state; see :func:`free_energy_many`."""
-    return float(free_energy_many(v.coeffs, spec, Q))
-
-
 def budget_rate_polynomial(lam: float, c: float) -> float:
     """Drift part of the dissipation budget rate:
 

@@ -65,10 +65,10 @@ def test_control_gains():
 def test_coupled_identical_starts():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), seed=23)
     x0 = perturbed_state(cfg, 0.4)
-    rec = coupling.simulate_coupled(x0, x0, cfg)
-    assert np.all(rec.dist_m1 == 0.0)
-    assert np.all(rec.control_sq_integral == 0.0)
-    assert np.all(rec.log_weight == 0.0)
+    ens = coupling.coupled_ensemble(x0, x0, cfg, 1)
+    assert np.all(ens.dist_sq_path == 0.0)
+    assert np.all(ens.int_w_sq == 0.0)
+    assert np.all(ens.log_weight == 0.0)
 
 
 def test_coupled_contraction_invariants():
@@ -77,24 +77,25 @@ def test_coupled_contraction_invariants():
     )
     x0 = perturbed_state(cfg, 0.6, slot=0)
     y0 = perturbed_state(cfg, 0.6, slot=1)
-    rec = coupling.simulate_coupled(x0, y0, cfg)
-    d0 = rec.dist_m1[0]
-    delta = rec.rate.operational
-    envelope = d0 * np.exp(-delta * rec.times) * 1.05
-    assert np.all(rec.dist_m1 <= envelope)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
+    dist = np.sqrt(ens.dist_sq_path[0])
+    d0 = dist[0]
+    delta = ens.rate.operational
+    envelope = d0 * np.exp(-delta * ens.times) * 1.05
+    assert np.all(dist <= envelope)
     # the control's tail integral, with discretization slack
-    assert rec.control_sq_integral[-1] <= rec.kappa**2 * d0**2 / (2 * delta) * 1.05
-    assert rec.fitted_rate() >= 0.9 * delta
+    assert ens.int_w_sq[0, -1] <= ens.kappa**2 * d0**2 / (2 * delta) * 1.05
+    assert ens.fitted_rates()[0] >= 0.9 * delta
 
 
 def test_coupled_no_lambda_means_no_control():
     cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=0.0, seed=31)
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
-    rec = coupling.simulate_coupled(x0, y0, cfg)
-    assert np.all(rec.control_sq_integral == 0.0)
-    assert np.all(rec.log_weight == 0.0)
-    assert rec.dist_m1[-1] < rec.dist_m1[0]
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
+    assert np.all(ens.int_w_sq == 0.0)
+    assert np.all(ens.log_weight == 0.0)
+    assert ens.dist_sq_path[0, -1] < ens.dist_sq_path[0, 0]
 
 
 def test_coupled_check_raises_on_violation():
@@ -102,9 +103,33 @@ def test_coupled_check_raises_on_violation():
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
     # an envelope shrunk to 1e-4 of the proven one must be violated
-    rec = coupling.simulate_coupled(x0, y0, cfg)
-    assert np.any(rec.dist_m1 > rec.decay_envelope(-0.9999) + 1e-300)
-    assert np.all(rec.dist_m1 <= rec.decay_envelope() + 1e-300)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
+    dist = np.sqrt(ens.dist_sq_path)
+    assert np.any(dist > ens.decay_envelope(-0.9999) + 1e-300)
+    assert np.all(dist <= ens.decay_envelope() + 1e-300)
+
+
+def test_envelope_and_fitted_rates_are_the_per_pair_formulas():
+    # each row equals the single-pair formulas: d(0) exp(-delta t) (1 + tol),
+    # and minus the least-squares slope of log d over the positive distances
+    cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=1.0, seed=43,
+                   save_every=5)
+    x0 = perturbed_state(cfg, 0.5, slot=0)
+    y0 = np.stack([perturbed_state(cfg, 0.5, slot=1).coeffs, perturbed_state(cfg, 0.4).coeffs,
+                   x0.coeffs])  # pair 2 starts together: no positive distance
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 3)
+    envelope, fitted = ens.decay_envelope(0.1), ens.fitted_rates()
+    assert envelope.shape == ens.dist_sq_path.shape and fitted.shape == (3,)
+    for r in range(3):
+        dist = np.sqrt(ens.dist_sq_path[r])
+        want = dist[0] * np.exp(-ens.rate.operational * ens.times) * (1.0 + 0.1)
+        assert np.array_equal(envelope[r], want)
+        good = dist > 0
+        if np.sum(good) < 2:
+            assert r == 2 and fitted[r] == math.inf
+        else:
+            slope = np.polyfit(ens.times[good], np.log(dist[good]), 1)[0]
+            assert np.array_equal(fitted[r], -float(slope))
 
 
 def test_coupled_ensemble_matches_single():
@@ -112,12 +137,11 @@ def test_coupled_ensemble_matches_single():
                    save_every=10)
     x0 = perturbed_state(cfg, 0.5, slot=0)
     y0 = perturbed_state(cfg, 0.5, slot=1)
-    rec = coupling.simulate_coupled(x0, y0, cfg)
+    one = coupling.coupled_ensemble(x0, y0, cfg, 1)
     ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
-    # the coupled path is pair 0 of the ensemble, bit for bit
-    assert np.array_equal(ens.log_weight[0], rec.log_weight)
-    assert np.array_equal(ens.int_w_sq[0], rec.control_sq_integral)
-    assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
+    # a single coupled path is pair 0 of any ensemble, bit for bit
+    for name in ("log_weight", "int_w_sq", "dist_sq_path"):
+        assert np.array_equal(getattr(ens, name)[0], getattr(one, name)[0])
 
 
 def test_coupled_ensemble_member_equals_the_path_through_stiff_retries():
@@ -127,12 +151,11 @@ def test_coupled_ensemble_member_equals_the_path_through_stiff_retries():
     x0 = ModeVector.unit(2, 8, amplitude=0.85)
     y0 = ModeVector.unit(2, 8, amplitude=0.8)
     with pytest.raises(dynamics.StiffEventError):  # the path needs its retries
-        coupling.simulate_coupled(x0, y0, dataclasses.replace(cfg, max_halvings=0))
-    rec = coupling.simulate_coupled(x0, y0, cfg)
+        coupling.coupled_ensemble(x0, y0, dataclasses.replace(cfg, max_halvings=0), 1)
+    one = coupling.coupled_ensemble(x0, y0, cfg, 1)
     ens = coupling.coupled_ensemble(x0, y0, cfg, replicas=3)
-    assert np.array_equal(ens.log_weight[0], rec.log_weight)
-    assert np.array_equal(ens.int_w_sq[0], rec.control_sq_integral)
-    assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), rec.dist_m1)
+    for name in ("log_weight", "int_w_sq", "dist_sq_path"):
+        assert np.array_equal(getattr(ens, name)[0], getattr(one, name)[0])
 
 
 def test_coupled_ensemble_raises_naming_the_pair_out_of_halvings():
@@ -254,8 +277,8 @@ def test_rejected_step_books_no_control(monkeypatch):
     # enter the control integral, and together they cover the horizon
     cfg = make_cfg(M=32, dt=1e-3, T=1e-3, cov=standard_cov(32))
     x0, y0 = ModeVector.unit(1, 32, amplitude=0.2), ModeVector.zeros(32)
-    plain = coupling.simulate_coupled(x0, y0, cfg)
-    assert plain.control_sq_integral[-1] == pytest.approx(0.974e-3, rel=1e-3)
+    plain = coupling.coupled_ensemble(x0, y0, cfg, 1)
+    assert plain.int_w_sq[0, -1] == pytest.approx(0.974e-3, rel=1e-3)
 
     sup_ok, advance = dynamics.Engine.sup_ok, dynamics.Engine.advance
     checks, dts = [], []
@@ -270,6 +293,6 @@ def test_rejected_step_books_no_control(monkeypatch):
 
     monkeypatch.setattr(dynamics.Engine, "sup_ok", reject_first_candidate)
     monkeypatch.setattr(dynamics.Engine, "advance", logged_advance)
-    rec = coupling.simulate_coupled(x0, y0, cfg)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
     assert dts == [cfg.dt, cfg.dt / 2, cfg.dt / 2] and sum(dts[1:]) == cfg.T
-    assert rec.control_sq_integral[-1] == pytest.approx(plain.control_sq_integral[-1], rel=0.05)
+    assert ens.int_w_sq[0, -1] == pytest.approx(plain.int_w_sq[0, -1], rel=0.05)

@@ -278,12 +278,25 @@ def test_save_grid_includes_last_step():
     assert traj.times[-1] == pytest.approx(cfg.horizon)
 
 
-def test_snapshots_and_norm_path():
-    cfg = make_cfg(M=8, dt=1e-3, T=0.05, cov=standard_cov(8), save_every=10, seed=2)
-    res = dynamics.run_ensemble(ModeVector.zeros(8), cfg, 5, snap_steps=[25, 50])
-    assert res.norm_m1_sq.shape == (5, len(res.times))
-    assert set(res.snapshots) == {25, 50}
-    assert np.array_equal(res.snapshots[50], res.final)
+def test_run_paths_at_chosen_steps_equal_the_ensemble_and_the_paths():
+    # row 0 retries on bridged substeps (the config of
+    # test_batched_path_equals_simulate_through_retries)
+    cfg = make_cfg(
+        M=8, dt=2e-3, T=0.04, cov=band_cov(8, [(1, 0.01), (2, 0.01)], 2), n=20, lam=0.0,
+        sup_guard=1.5, seed=5,
+    )
+    x0 = [ModeVector.unit(2, 8, amplitude=0.85), ModeVector.zeros(8),
+          ModeVector.unit(1, 8, amplitude=0.3)]
+    starts = np.array([v.coeffs for v in x0])
+    steps = [3, 11, cfg.steps]
+    kern, saved = dynamics.run_paths(cfg, starts[None], steps)
+    assert kern.retries[0] > 0 and saved.shape == (1, 3, len(steps), cfg.M + 1)
+    res = dynamics.run_ensemble(starts, cfg, 3)
+    assert res.norm_m1_sq.shape == (3, len(res.times))
+    assert np.array_equal(saved[0, :, -1], res.final)
+    pos = dynamics.save_positions(cfg)
+    for r, traj in enumerate(dynamics.simulate_many(x0, cfg)):
+        assert np.array_equal(saved[0, r], traj.states[[pos[s] for s in steps]])
 
 
 def test_sim_config_validation():
@@ -538,9 +551,24 @@ def test_h_integrands_equal_seminorms_and_the_plain_formula(rng, n):
     h1, h2, gg = eng.h_integrands(states, grids)
     assert np.array_equal(h1, spectral.seminorm_sq_many(states, 1.0))
     assert np.array_equal(h2, spectral.seminorm_sq_many(states, 2.0))
-    grad = np.einsum("...k,kq->...q", states[..., 1:], eng.grad_mat)
     u2 = grids * grids
     power_sum = np.ones_like(u2)
     for _ in range(n):
         power_sum = 1.0 + u2 * power_sum
+    grad = spectral._tiled_matmul(states[..., 1:], eng.grad_mat)
     assert np.array_equal(gg, 2.0 * np.mean(grad * grad * power_sum, axis=-1))
+    # against the untiled product, the gradient's rounding moves gg by < 1e-12 relative
+    grad = np.einsum("...k,kq->...q", states[..., 1:], eng.grad_mat)
+    plain = 2.0 * np.mean(grad * grad * power_sum, axis=-1)
+    assert np.all(np.abs(gg - plain) <= 1e-12 * plain)
+
+
+def test_h_integrands_rows_do_not_depend_on_the_batch(rng):
+    # 37 rows: one full 32-row tile and a padded partial one
+    cfg = make_cfg(M=32, n=4)
+    eng = dynamics.Engine(cfg, 37)
+    states = 0.1 * rng.standard_normal((37, cfg.M + 1))
+    grids = eng.grid(states)
+    gg = eng.h_integrands(states, grids)[2]
+    for rows in (slice(0, 1), slice(36, 37), slice(0, 5), slice(30, 35)):
+        assert np.array_equal(eng.h_integrands(states[rows], grids[rows])[2], gg[rows])

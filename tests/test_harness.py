@@ -114,7 +114,7 @@ def test_threads_default_ignores_environment(monkeypatch):
 def test_threads_below_one_rejected(threads):
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + f"threads = {threads}\n")
-    assert str(err.value) == "threads: needs at least 1 worker thread"
+    assert str(err.value) == f"threads: must be >= 1, got {threads}"
 
 
 def test_kind_specific_validation():
@@ -868,3 +868,64 @@ def test_no_unused_imports():
                        for node in imports for a in node.names
                        if (a.asname or a.name).split(".")[0] not in read]
     assert unused == [], unused
+
+
+# definitions that only the tests read: the README's algebra (acceptance 08)
+# and the exact dealiasing size
+TEST_ONLY = (
+    "potential.budget_rate_discriminant", "potential.budget_rate_minimizer",
+    "potential.nonlinearity_exact", "potential.potential_value", "potential.tail_bound",
+    "spectral.exact_dealias_size",
+)
+
+
+def test_no_unused_definitions():
+    # a module-level function, class or constant that no code reads by name,
+    # attribute or import is dead; strings (tracing labels) do not count
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    trees = {}
+    for pattern in ("src/chcsim/*.py", "scripts/*.py", "bench/*.py"):
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            with open(path) as fh:
+                trees[path] = ast.parse(fh.read())
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    unused = []
+    for path, tree in trees.items():
+        module = os.path.relpath(path, os.path.join(root, "src", "chcsim"))
+        if module.startswith(os.pardir) or module == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            unused += [f"{module[:-3]}.{name}" for name in names if name not in read]
+    assert sorted(unused) == sorted(TEST_ONLY), sorted(unused)
+
+
+def test_coupling_decay_script_reports():
+    # the script reads the ensemble's own rate, fitted rates and envelope
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "coupling_decay.py"),
+         "--pairs", "3", "--T", "0.01"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0].strip() for line in lines] == [
+        "nominal rate", "operational rate", "fitted rates", "pathwise envelope",
+    ]
+    assert lines[-1] == "pathwise envelope : OK"

@@ -190,24 +190,24 @@ def test_free_energy_constant_state():
     spec = PotentialSpec.truncated(3, 0.9)
     v = ModeVector.constant(0.4, 16)
     want = float(potential.potential_poly_value(0.4, spec))
-    assert potential.free_energy(v, spec) == pytest.approx(want, abs=1e-12)
+    assert potential.free_energy_many(v.coeffs, spec) == pytest.approx(want, abs=1e-12)
 
 
 def test_free_energy_single_mode_against_refined_quadrature():
     spec = PotentialSpec.truncated(0, 0.0)
     v = ModeVector.unit(1, 8, amplitude=0.1)
-    got = potential.free_energy(v, spec)
+    got = potential.free_energy_many(v.coeffs, spec)
     assert got == pytest.approx(0.05934802200544679, abs=1e-12)
-    finer = potential.free_energy(v, spec, Q=10 * spectral.default_grid_size(8))
+    finer = potential.free_energy_many(v.coeffs, spec, Q=10 * spectral.default_grid_size(8))
     assert got == pytest.approx(finer, abs=1e-10)
 
 
 def test_free_energy_exact_mode_singular():
     spec = PotentialSpec.exact(0.0)
     ok = ModeVector.unit(1, 8, amplitude=0.2)
-    assert math.isfinite(potential.free_energy(ok, spec))
+    assert math.isfinite(potential.free_energy_many(ok.coeffs, spec))
     with pytest.raises(potential.SingularInputError):
-        potential.free_energy(ModeVector.unit(1, 8, amplitude=0.9), spec)
+        potential.free_energy_many(ModeVector.unit(1, 8, amplitude=0.9).coeffs, spec)
 
 
 def test_budget_rate_polynomial_nonnegative_grid():
