@@ -119,7 +119,6 @@ class CoupledEnsemble:
     times: np.ndarray
     log_weight: np.ndarray  # (R, S) running G
     int_w_sq: np.ndarray  # (R, S) running int |w|^2 ds
-    dist0: np.ndarray  # (R,)
     dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances
     failed_step: np.ndarray
     rate: ContractionRate
@@ -173,7 +172,6 @@ def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
         times=dynamics.save_steps(cfg) * cfg.dt,
         log_weight=paths["log_weight"],
         int_w_sq=paths["int_w_sq"],
-        dist0=np.sqrt(spectral.seminorm_sq_many(starts[0] - starts[1], -1.0)),
         dist_sq_path=paths["dist_sq"],
         failed_step=kern.failed,
         rate=rate,
@@ -213,7 +211,7 @@ def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) 
     ens = coupled_ensemble(x0, y0, replace(cfg, save_every=cfg.steps), replicas)
     weights = np.exp(ens.log_weight[:, -1])
     gap = np.abs(1.0 - weights)
-    dist0 = float(ens.dist0[0])
+    dist0 = math.sqrt(ens.dist_sq_path[0, 0])
     return GirsanovGap(
         estimate=float(np.mean(gap)),
         se=float(np.std(gap, ddof=1) / math.sqrt(replicas)),

@@ -359,7 +359,10 @@ class Engine:
         grids[sub] = self.cfg.c
 
     def sup_ok(self, grids: np.ndarray) -> np.ndarray:
-        """Per noise row: every copy's grid stays within the guard (NaN fails)."""
+        """Per noise row: every copy's grid stays within the guard (NaN fails).
+        One max/min pair tests the whole batch; only a batch that fails goes row by row."""
+        if grids.max() <= self.guard and grids.min() >= -self.guard:
+            return np.ones(len(grids) // self.copies, dtype=bool)
         sup = np.maximum(grids.max(axis=-1), -grids.min(axis=-1)).reshape(self.copies, -1)
         return np.all(sup <= self.guard, axis=0)
 
@@ -438,8 +441,12 @@ class Engine:
 def run_paths(cfg: SimConfig, starts: np.ndarray, steps):
     """Integrate starts (copies, R, M+1) with stiff retries; returns the
     engine and every state row at the distinct step indices `steps`, each in
-    0..cfg.steps, as (copies, R, len(steps), M+1) in the order given."""
-    pos = {int(s): j for j, s in enumerate(steps)}
+    0..cfg.steps (else ValueError), as (copies, R, len(steps), M+1) in order."""
+    pos = {}
+    for j, s in enumerate(map(int, steps)):
+        if s in pos or not 0 <= s <= cfg.steps:
+            raise ValueError(f"steps: step {s} is repeated or outside 0..{cfg.steps}")
+        pos[s] = j
     copies, R, K = starts.shape
     saved = np.empty((copies, R, len(pos), K))
     kern = Engine(cfg, R, copies=copies)

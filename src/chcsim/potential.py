@@ -20,6 +20,7 @@ dissipation budgets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,12 @@ class PotentialSpec:
     def off(cls) -> "PotentialSpec":
         return cls(lam=0.0, n=None, active=False)
 
+    @functools.cached_property
+    def horner(self) -> tuple[float, tuple[float, ...], float | None]:
+        """f_n's folded coefficients, built once: (c_0, (c_{n-1}..c_1), c_n or None at n=0)."""
+        coeffs = [self.lam - 2.0] + [-2.0 / (2 * k + 1) for k in range(1, self.n + 1)]
+        return coeffs[0], tuple(coeffs[-2:0:-1]), coeffs[-1] if self.n else None
+
     @property
     def is_truncated(self) -> bool:
         return self.active and self.n is not None
@@ -112,34 +119,31 @@ def nonlinearity_poly(u, spec: PotentialSpec):
     """Polynomial truncation f_n(u) = u * sum_{k=0}^{n} c_k u^(2k), with
     c_0 = lam - 2 and c_k = -2/(2k+1).
 
-    lam and the factor -2 are folded into the coefficients, so one Horner pass
-    in u^2 and a final product with u give f_n (exactly odd in u).  It runs in
-    place over blocks of POLY_BLOCK points so u^2 and the output stay in cache.
+    lam and the factor -2 are folded into the spec's ``horner`` coefficients,
+    so one Horner pass in u^2 and a final product with u give f_n (exactly odd
+    in u), in place over blocks of POLY_BLOCK points so u^2 and out stay in cache.
     """
     if not spec.is_truncated:
         raise ValueError("nonlinearity_poly requires a truncated PotentialSpec")
     u_arr = np.asarray(u, dtype=np.float64)
-    out = np.empty(u_arr.shape)
-    flat_u, flat_out = u_arr.reshape(-1), out.reshape(-1)
-    coeffs = [spec.lam - 2.0] + [-2.0 / (2 * k + 1) for k in range(1, spec.n + 1)]
+    flat_u = u_arr.reshape(-1)
+    out = np.empty(flat_u.size)
+    c0, middle, top = spec.horner
     u2 = np.empty(min(POLY_BLOCK, flat_u.size))
     for lo in range(0, flat_u.size, POLY_BLOCK):
-        x = flat_u[lo : lo + POLY_BLOCK]
-        acc = flat_out[lo : lo + POLY_BLOCK]
-        if spec.n == 0:
-            np.multiply(x, coeffs[0], out=acc)
+        x, acc = flat_u[lo : lo + POLY_BLOCK], out[lo : lo + POLY_BLOCK]
+        if top is None:  # n = 0: f_0(u) = c_0 u
+            np.multiply(x, c0, out=acc)
             continue
         sq = u2[: x.size]
         np.multiply(x, x, out=sq)
-        np.multiply(sq, coeffs[-1], out=acc)
-        for c in coeffs[-2:0:-1]:
+        np.multiply(sq, top, out=acc)
+        for c in middle:
             acc += c
             acc *= sq
-        acc += coeffs[0]
+        acc += c0
         acc *= x
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
+    return float(out[0]) if u_arr.ndim == 0 else out.reshape(u_arr.shape)
 
 
 def nonlinearity_grid(u: np.ndarray, spec: PotentialSpec) -> np.ndarray:

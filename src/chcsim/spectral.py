@@ -132,13 +132,17 @@ def _cosine_matrices(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tiled_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat over the last axis of x, calling BLAS on TILE-row tiles only."""
+    """x @ mat over the last axis of x, calling BLAS on TILE-row tiles only: the
+    full tiles as one stack, the rest (maybe the whole batch) as one padded tile."""
     rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
     (R, K), N = rows.shape, mat.shape[1]
+    if R < TILE:  # the padded tile's product is the result
+        tile = np.zeros((TILE, K))
+        tile[:R] = rows
+        return np.matmul(tile, mat)[:R].reshape(x.shape[:-1] + (N,))
     out = np.empty((R, N))
     full = R - R % TILE
-    if full:
-        np.matmul(rows[:full].reshape(-1, TILE, K), mat, out=out[:full].reshape(-1, TILE, N))
+    np.matmul(rows[:full].reshape(-1, TILE, K), mat, out=out[:full].reshape(-1, TILE, N))
     if full < R:
         tile = np.zeros((TILE, K))
         tile[: R - full] = rows[full:]

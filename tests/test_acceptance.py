@@ -113,7 +113,7 @@ def test_criterion_03_lipschitz_growth_bound():
         cfg = replace(cfg, cov=band_cov(32, [(1, 1.0), (2, 1.0)], 0))
         ens = coupling.coupled_ensemble(x0s, y0s, cfg, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
-        envelope = ens.dist0[:, None] * np.exp(1.0 * ens.times)[None, :] * 1.05
+        envelope = dist[:, :1] * np.exp(1.0 * ens.times)[None, :] * 1.05
         assert np.all(dist <= envelope + 1e-300)
 
 
@@ -129,7 +129,7 @@ def test_criterion_04_coupling_decay():
         y0s = stationary_batch(cfg, R, scale=0.6, slot=1)
         ens = coupling.coupled_ensemble(x0s, y0s, cfg, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
-        envelope = ens.dist0[:, None] * np.exp(-rate.operational * ens.times)[None, :]
+        envelope = dist[:, :1] * np.exp(-rate.operational * ens.times)[None, :]
         assert np.all(dist <= envelope * 1.05 + 1e-300)
         for r in range(R):
             slope = np.polyfit(ens.times, np.log(dist[r]), 1)[0]

@@ -278,6 +278,15 @@ def test_save_grid_includes_last_step():
     assert traj.times[-1] == pytest.approx(cfg.horizon)
 
 
+@pytest.mark.parametrize("steps, bad", [([0, -1], -1), ([5, 41], 41), ([3, 7, 3], 3)])
+def test_run_paths_rejects_steps_out_of_range_or_repeated(steps, bad):
+    # such a step would leave rows of the saved array uninitialised
+    cfg = make_cfg(M=8, dt=1e-3, T=0.04)
+    starts = np.zeros((1, 1, cfg.M + 1))
+    with pytest.raises(ValueError, match=rf"step {bad} is repeated or outside 0\.\.40"):
+        dynamics.run_paths(cfg, starts, steps)
+
+
 def test_run_paths_at_chosen_steps_equal_the_ensemble_and_the_paths():
     # row 0 retries on bridged substeps (the config of
     # test_batched_path_equals_simulate_through_retries)
@@ -489,6 +498,18 @@ def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
     # two copies: noise row r is state rows r and r + 2
     pair = dynamics.Engine(cfg, 2, copies=2)
     assert np.array_equal(pair.sup_ok(grids), [ok[0] and ok[2], False])
+    # the whole-batch test and the per-row fallback against a per-row reference
+    guard = cfg.sup_guard
+    edges = [np.nan, np.inf, -np.inf, guard, -guard, np.nextafter(guard, np.inf),
+             -np.nextafter(guard, np.inf)]
+    for edge in [None] + edges:
+        grids = rng.uniform(-guard, guard, size=(4, cfg.grid_size))
+        if edge is not None:
+            grids[1, 3] = edge
+        want = np.array([bool(np.all(np.abs(g) <= guard)) for g in grids])
+        assert np.array_equal(kern.sup_ok(grids), want)
+        assert np.array_equal(pair.sup_ok(grids), want[:2] & want[2:])
+        assert want.tolist() == [True, edge is None or abs(edge) <= guard, True, True]
 
 
 def test_scatter_noise_overwrites_band_columns_only(rng):

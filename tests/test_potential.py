@@ -92,13 +92,17 @@ def test_poly_blocks_equal_reference(rng, n, lam):
         assert abs(got - float(_poly_reference(u, n, lam))) <= _horner_bound(u, n, lam)
 
 
-@pytest.mark.parametrize("block", [7, 2**20])
+@pytest.mark.parametrize(
+    "block", [1, 7, potential.POLY_BLOCK, potential.POLY_BLOCK + 1, 2**20]
+)
 @pytest.mark.parametrize("n, lam", [(0, 0.0), (4, 1.0), (20, 2.5)])
 def test_poly_block_size_never_changes_bits(rng, monkeypatch, block, n, lam):
     # a path equals its ensemble member only if a row's values do not depend
     # on where the blocks of its batch fall
     spec = PotentialSpec.truncated(n, lam)
     inputs = [rng.uniform(-1.2, 1.2, size=shape) for shape in BLOCK_SHAPES]
+    if block == 1:  # one pass per point: the first 528 points of each input
+        inputs = [u.reshape(-1)[:528].reshape((-1,) + u.shape[1:]) for u in inputs]
     want = [potential.nonlinearity_poly(u, spec) for u in inputs]
     monkeypatch.setattr(potential, "POLY_BLOCK", block)
     for u, w in zip(inputs, want):

@@ -166,6 +166,16 @@ def test_transform_row_does_not_depend_on_its_tile(rng, M, Q):
         tile = rng.standard_normal((spectral.TILE, Q))
         tile[r] = v
         assert np.array_equal(spectral.analyze_many(tile, M)[r], alone_coeffs)
+    # every batch size, below, at and above one tile, against one row per tile
+    for mat in spectral._cosine_matrices(M, Q):
+        for R in (0, 1, 2, 31, 32, 33, 65):
+            x = rng.standard_normal((R, mat.shape[0]))
+            want = np.empty((R, mat.shape[1]))
+            for i, row in enumerate(x):
+                tile = np.zeros((spectral.TILE, mat.shape[0]))
+                tile[0] = row
+                want[i] = np.matmul(tile, mat)[0]
+            assert np.array_equal(spectral._tiled_matmul(x, mat), want)
 
 
 # the transforms in a fresh interpreter limited to one BLAS thread
