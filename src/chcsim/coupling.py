@@ -234,10 +234,6 @@ class AsfEstimate:
     se: float  # paired standard error of the difference
     bound: float  # kappa-term * |phi|_inf + exp(-delta t) * lip, times dist0
 
-    def __post_init__(self):
-        if self.lhs < 0 or self.bound < 0:
-            raise ValueError("estimate and bound must be nonnegative")
-
 
 def asf_estimate(
     phi: ObservableSpec,

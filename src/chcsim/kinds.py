@@ -296,7 +296,7 @@ def _lintest(cfg, states, y_state, phis, out):
         ks = 0.0
 
     # ensemble second-moment curve with its dissipation-budget envelope
-    q = potential.budget_rate(0.0, sim.c, noise.trace_gamma(sim.cov, -1.0))
+    q = noise.trace_gamma(sim.cov, -1.0) + potential.budget_rate_polynomial(0.0, sim.c)
     pi4 = spectral.eigenvalue(1) ** 2
     x_sq = float(spectral.seminorm_sq_many(np.asarray(x0.coeffs), -1.0))
     mean_curve = res.norm_m1_sq.mean(axis=0)

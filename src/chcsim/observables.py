@@ -16,7 +16,8 @@ class ObservableSpec:
 
     fn(states, sim_cfg) evaluates it on states of shape (..., M+1).  For
     bounded-Lipschitz uses (the smoothing estimates) sup_bound and lip must
-    be finite: |phi| <= sup_bound and |phi(x)-phi(y)| <= lip |x-y|_{-1}.
+    be finite and nonnegative: |phi| <= sup_bound and
+    |phi(x)-phi(y)| <= lip |x-y|_{-1}.
     """
 
     name: str
@@ -29,6 +30,8 @@ class ObservableSpec:
             raise ValueError(f"observable {self.name!r} needs sup_bound and lip")
         if not (np.isfinite(self.sup_bound) and np.isfinite(self.lip)):
             raise ValueError(f"observable {self.name!r} has non-finite constants")
+        if self.sup_bound < 0 or self.lip < 0:
+            raise ValueError(f"observable {self.name!r} has negative constants")
 
 
 def evaluate(spec: ObservableSpec, states: np.ndarray, sim_cfg) -> np.ndarray:

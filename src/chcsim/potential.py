@@ -4,7 +4,8 @@ The exact nonlinearity is
 
     f(u) = ln((1 - u)/(1 + u)) + lam * u        on (-1, 1),
 
-with signed infinities outside, and the degree-(2n+1) truncations
+evaluated by ``nonlinearity_grid``, which raises SingularInputError at any
+|u| >= 1, and the degree-(2n+1) truncations
 
     f_n(u) = -2 sum_{k=0}^{n} u^(2k+1)/(2k+1) + lam * u
            = u * sum_{k=0}^{n} c_k u^(2k),   c_0 = lam - 2,  c_k = -2/(2k+1),
@@ -13,9 +14,10 @@ defined on all of R and evaluated in the second form, lam and the factor -2
 folded into the coefficients of one Horner pass in u^2.  The map
 u -> f_n(u) - lam*u is odd and monotone non-increasing; everything the
 simulator asserts about contraction rests on that sign property.  The
-potential F (an antiderivative of -f) feeds the free-energy monitor, and the
-quadratic-in-lambda rate polynomial at the bottom of the module controls the
-dissipation budgets.
+potentials F and F_n (antiderivatives of -f and -f_n) feed the free-energy
+monitor, and the quadratic-in-lambda rate polynomial at the bottom of the
+module controls the dissipation budgets; the README's algebra about them
+(tail bound, discriminant, minimizer) is checked on the test side.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import numpy as np
 
 from . import spectral
 
-SERIES_TOL = 1e-12
-SERIES_MAX_TERMS = 10_000
 # points per in-place pass of nonlinearity_poly: its one scratch block (u^2)
 # and the block of output stay in cache.  Swept at 1000 x 132 points, n = 4,
 # one thread: 0.51-0.59 ms per call at 16,384, 0.45-0.54 ms at 32,768 and
@@ -91,30 +91,6 @@ class PotentialSpec:
         return self.active and self.n is None
 
 
-def nonlinearity_exact(u, lam: float):
-    """Exact nonlinearity f; returns signed infinity on |u| >= 1.
-
-    The infinities are the documented values of f outside the open interval,
-    carried through as signals rather than raising.
-    """
-    u_arr = np.asarray(u, dtype=np.float64)
-    inside = np.abs(u_arr) < 1.0
-    out = np.empty_like(u_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.copyto(
-            out,
-            np.where(
-                inside,
-                np.log((1.0 - np.where(inside, u_arr, 0.0)) / (1.0 + np.where(inside, u_arr, 0.0)))
-                + lam * u_arr,
-                np.where(u_arr <= -1.0, np.inf, -np.inf),
-            ),
-        )
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
-
-
 def nonlinearity_poly(u, spec: PotentialSpec):
     """Polynomial truncation f_n(u) = u * sum_{k=0}^{n} c_k u^(2k), with
     c_0 = lam - 2 and c_k = -2/(2k+1).
@@ -173,16 +149,6 @@ def log_potential_part(c: float) -> float:
     return (1.0 + c) * math.log(1.0 + c) + (1.0 - c) * math.log(1.0 - c)
 
 
-def potential_value(u: float, lam: float) -> float:
-    """Potential F(u) = (1+u)ln(1+u) + (1-u)ln(1-u) - lam u^2 / 2.
-
-    F' = -f on (-1, 1); the closure values at u = +-1 are 2 ln 2 - lam/2.
-    """
-    if abs(u) > 1.0:
-        raise ValueError(f"potential argument must lie in [-1, 1], got {u}")
-    return log_potential_part(u) - 0.5 * lam * u * u
-
-
 def potential_poly_value(u, spec: PotentialSpec):
     """Term-wise antiderivative of -f_n:
 
@@ -201,22 +167,6 @@ def potential_poly_value(u, spec: PotentialSpec):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def tail_bound(n: int, r: float) -> float:
-    """Uniform bound 2 sum_{k>n} r^(2k+1)/(2k+1) on sup_{|u|<=r} |f_n - f|."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    total = 0.0
-    term_pow = r ** (2 * n + 3)
-    r2 = r * r
-    for k in range(n + 1, n + 1 + SERIES_MAX_TERMS):
-        term = term_pow / (2 * k + 1)
-        total += term
-        if term < 1e-18:
-            break
-        term_pow *= r2
-    return 2.0 * total
 
 
 def free_energy_many(coeffs: np.ndarray, spec: PotentialSpec, Q: int | None = None) -> np.ndarray:
@@ -251,47 +201,3 @@ def budget_rate_polynomial(lam: float, c: float) -> float:
     if abs(c) >= 1.0:
         raise ValueError(f"mean must lie in (-1, 1), got {c}")
     return 1.5 * (1.0 - lam) ** 2 - c * c * lam + log_potential_part(c)
-
-
-def budget_rate(lam: float, c: float, trace_m1: float) -> float:
-    """Full budget rate: trace of the noise at level -1 plus the drift part."""
-    return trace_m1 + budget_rate_polynomial(lam, c)
-
-
-def _tail_series(c: float, tol: float) -> float:
-    """sum_{k>=2} c^(2k+2) / ((2k+1)(2k+2)), summed until the term < tol."""
-    total = 0.0
-    c2 = c * c
-    term_pow = c2**3
-    for k in range(2, 2 + SERIES_MAX_TERMS):
-        term = term_pow / ((2 * k + 1) * (2 * k + 2))
-        total += term
-        if term < tol:
-            break
-        term_pow *= c2
-    return total
-
-
-def budget_rate_discriminant(c: float, tol: float = SERIES_TOL) -> float:
-    """Discriminant of the budget rate polynomial in lam:
-
-    -12 sum_{k>=2} c^(2k+2) / ((2k+1)(2k+2)) <= 0.
-    """
-    if abs(c) >= 1.0:
-        raise ValueError(f"mean must lie in (-1, 1), got {c}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return -12.0 * _tail_series(c, tol)
-
-
-def budget_rate_minimizer(c: float, tol: float = SERIES_TOL) -> tuple[float, float]:
-    """Minimizing lam* = c^2/3 + 1 and the minimum value of the rate polynomial.
-
-    The minimum equals 2 sum_{k>=2} c^(2k+2)/((2k+1)(2k+2)) >= 0, evaluated
-    by the same truncated series as the discriminant.
-    """
-    if abs(c) >= 1.0:
-        raise ValueError(f"mean must lie in (-1, 1), got {c}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return c * c / 3.0 + 1.0, 2.0 * _tail_series(c, tol)

@@ -870,13 +870,8 @@ def test_no_unused_imports():
     assert unused == [], unused
 
 
-# definitions that only the tests read: the README's algebra (acceptance 08)
-# and the exact dealiasing size
-TEST_ONLY = (
-    "potential.budget_rate_discriminant", "potential.budget_rate_minimizer",
-    "potential.nonlinearity_exact", "potential.potential_value", "potential.tail_bound",
-    "spectral.exact_dealias_size",
-)
+# definitions that only the tests read: the exact dealiasing size
+TEST_ONLY = ("spectral.exact_dealias_size",)
 
 
 def test_no_unused_definitions():

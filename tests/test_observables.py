@@ -58,3 +58,12 @@ def test_trajectory_columns_equal_their_formulas():
     assert [name for name, _ in kinds.TRAJECTORY_COLUMNS] == list(want)
     for name, phi in kinds.TRAJECTORY_COLUMNS:
         assert np.array_equal(observables.evaluate(phi, s, cfg), want[name])
+
+
+@pytest.mark.parametrize("constants", [{"sup_bound": -1.0, "lip": 1.0},
+                                       {"sup_bound": 1.0, "lip": -1.0}])
+def test_bounded_lipschitz_constants_are_nonnegative(constants):
+    # a negative constant would make the smoothing bound negative
+    phi = observables.ObservableSpec("phi", lambda s, cfg: s[..., 0], **constants)
+    with pytest.raises(ValueError, match="negative constants"):
+        phi.require_bounded_lipschitz()

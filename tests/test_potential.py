@@ -9,24 +9,26 @@ from chcsim import potential, spectral
 from chcsim.potential import PotentialSpec
 from chcsim.spectral import ModeVector
 
+import algebra
+
 finite = st.floats(-8.0, 8.0, allow_nan=False)
 
 
 def test_exact_values():
-    assert potential.nonlinearity_exact(0.0, 3.7) == 0.0
-    assert potential.nonlinearity_exact(0.5, 0.0) == pytest.approx(
+    assert potential.nonlinearity_grid(0.0, PotentialSpec.exact(3.7)) == 0.0
+    assert potential.nonlinearity_grid(0.5, PotentialSpec.exact(0.0)) == pytest.approx(
         -1.0986122886681098, abs=1e-12
     )
-    assert potential.nonlinearity_exact(-0.5, 2.0) == pytest.approx(
+    assert potential.nonlinearity_grid(-0.5, PotentialSpec.exact(2.0)) == pytest.approx(
         0.0986122886681097, abs=1e-12
     )
 
 
-def test_exact_singular_signals():
-    assert potential.nonlinearity_exact(1.0, 0.0) == -math.inf
-    assert potential.nonlinearity_exact(-1.2, 5.0) == math.inf
-    out = potential.nonlinearity_exact(np.array([-1.0, 0.0, 2.0]), 1.0)
-    assert out[0] == math.inf and out[2] == -math.inf and out[1] == 0.0
+@pytest.mark.parametrize("u", [1.0, -1.0, -1.2, 2.0])
+def test_exact_singular_signals(u):
+    # one node on or beyond the singular set fails the whole grid
+    with pytest.raises(potential.SingularInputError):
+        potential.nonlinearity_grid(np.array([0.0, u]), PotentialSpec.exact(1.0))
 
 
 def test_poly_values():
@@ -112,7 +114,7 @@ def test_poly_block_size_never_changes_bits(rng, monkeypatch, block, n, lam):
 def test_poly_converges_to_exact():
     spec = PotentialSpec.truncated(60, 0.0)
     got = potential.nonlinearity_poly(0.5, spec)
-    want = potential.nonlinearity_exact(0.5, 0.0)
+    want = potential.nonlinearity_grid(0.5, PotentialSpec.exact(0.0))
     assert abs(got - want) < 1e-12
 
 
@@ -144,30 +146,30 @@ def test_shifted_sign_property(a, b, n):
 
 def test_uniform_convergence_tail_bound():
     u = np.linspace(-0.9, 0.9, 2001)
-    exact = potential.nonlinearity_exact(u, 0.0)
+    exact = potential.nonlinearity_grid(u, PotentialSpec.exact(0.0))
     for n in (2, 4, 8, 16, 32):
         approx = potential.nonlinearity_poly(u, PotentialSpec.truncated(n, 0.0))
         sup_err = np.max(np.abs(approx - exact))
         # the bound is attained at u = +-0.9, so allow roundoff-level slack
-        assert sup_err <= potential.tail_bound(n, 0.9) + 1e-12
+        assert sup_err <= algebra.tail_bound(n, 0.9) + 1e-12
 
 
 def test_potential_values():
-    assert potential.potential_value(0.0, 2.5) == 0.0
-    assert potential.potential_value(0.5, 0.0) == pytest.approx(
+    assert algebra.potential_value(0.0, 2.5) == 0.0
+    assert algebra.potential_value(0.5, 0.0) == pytest.approx(
         0.2616240718822739, abs=1e-12
     )
-    assert potential.potential_value(1.0, 3.0) == pytest.approx(2 * math.log(2) - 1.5)
+    assert algebra.potential_value(1.0, 3.0) == pytest.approx(2 * math.log(2) - 1.5)
     with pytest.raises(ValueError):
-        potential.potential_value(1.5, 0.0)
+        algebra.potential_value(1.5, 0.0)
 
 
 @pytest.mark.parametrize("u", [-0.3, 0.3])
 def test_potential_is_antiderivative_of_minus_f(u):
     h = 1e-6
     lam = 1.3
-    fd = (potential.potential_value(u + h, lam) - potential.potential_value(u - h, lam)) / (2 * h)
-    assert fd == pytest.approx(-potential.nonlinearity_exact(u, lam), abs=1e-8)
+    fd = (algebra.potential_value(u + h, lam) - algebra.potential_value(u - h, lam)) / (2 * h)
+    assert fd == pytest.approx(-potential.nonlinearity_grid(u, PotentialSpec.exact(lam)), abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
@@ -185,7 +187,7 @@ def test_poly_potential_is_antiderivative(n):
 def test_poly_potential_converges():
     u = np.linspace(-0.9, 0.9, 401)
     lam = 0.4
-    want = np.array([potential.potential_value(x, lam) for x in u])
+    want = np.array([algebra.potential_value(x, lam) for x in u])
     got = potential.potential_poly_value(u, PotentialSpec.truncated(80, lam))
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -223,7 +225,7 @@ def test_budget_rate_polynomial_nonnegative_grid():
 
 def test_discriminant_nonpositive_grid():
     for c in np.linspace(-0.95, 0.95, 39):
-        assert potential.budget_rate_discriminant(float(c)) <= 0.0
+        assert algebra.budget_rate_discriminant(float(c)) <= 0.0
 
 
 def test_discriminant_series_oracle():
@@ -238,27 +240,27 @@ def test_discriminant_series_oracle():
             k += 1
 
     for c in (0.25, 0.5, 0.8):
-        assert potential.budget_rate_discriminant(c) == pytest.approx(oracle(c), abs=1e-12)
-    assert potential.budget_rate_discriminant(0.5) == pytest.approx(
+        assert algebra.budget_rate_discriminant(c) == pytest.approx(oracle(c), abs=1e-12)
+    assert algebra.budget_rate_discriminant(0.5) == pytest.approx(
         -0.007244431293643509, abs=1e-12
     )
     # closed-form cross-check of the same quantity
     c = 0.5
     closed = c**4 + 6 * c**2 - 6 * potential.log_potential_part(c)
-    assert potential.budget_rate_discriminant(c) == pytest.approx(closed, abs=1e-10)
+    assert algebra.budget_rate_discriminant(c) == pytest.approx(closed, abs=1e-10)
 
 
 def test_trivia_at_zero_mean():
-    lam_star, minimum = potential.budget_rate_minimizer(0.0)
+    lam_star, minimum = algebra.budget_rate_minimizer(0.0)
     assert lam_star == 1.0
     assert minimum == 0.0
     assert potential.budget_rate_polynomial(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert potential.budget_rate_discriminant(0.0) == 0.0
+    assert algebra.budget_rate_discriminant(0.0) == 0.0
 
 
 def test_minimizer_against_grid_search():
     for c in (0.3, 0.5, 0.9):
-        lam_star, val = potential.budget_rate_minimizer(c)
+        lam_star, val = algebra.budget_rate_minimizer(c)
         assert lam_star == pytest.approx(c * c / 3.0 + 1.0, rel=1e-14)
         assert val == pytest.approx(
             potential.budget_rate_polynomial(lam_star, c), abs=1e-10
@@ -269,7 +271,6 @@ def test_minimizer_against_grid_search():
 
 
 def test_budget_rate_adds_trace():
-    assert potential.budget_rate(1.0, 0.0, 0.25) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ValueError):
         potential.budget_rate_polynomial(0.0, 1.0)
 
