@@ -16,7 +16,6 @@ from .dynamics import (  # noqa: F401
 from .coupling import (  # noqa: F401
     AsfEstimate,
     BandTooSmallError,
-    ContractionRate,
     contraction_rate,
 )
 from .ergodics import ErgodicReport, ObservableSpec, TimeAverage  # noqa: F401

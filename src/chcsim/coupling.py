@@ -26,7 +26,7 @@ makes exp(G) an exact discrete-time martingale: E[exp(G(T))] = 1 holds for
 every dt, not just in the limit.
 
 ``coupled_ensemble`` is the one coupled-pair driver (its ``Engine`` books G
-and int |w|^2 with ``control=True``); its result carries the rate, kappa,
+and int |w|^2 with ``control=True``); its result carries delta, kappa,
 the decay envelope and each pair's fitted rate, and one coupled path is pair 0.
 """
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,22 +50,9 @@ class BandTooSmallError(ValueError):
     """The controlled band does not dominate the destabilizing coefficient."""
 
 
-class ContractionRate(NamedTuple):
-    """Coupling decay rates.
-
-    nominal:     2 pi min((N+1)^2/2 - lam, 1), the rate quoted under a
-                 unit-normalized spectral gap; reported as a diagnostic.
-    operational: (alpha_1/2) min(alpha_1, alpha_{N+1} - lam), the rate the
-                 Gronwall argument proves for the convention actually
-                 integrated here; every assertion uses this one.
-    """
-
-    nominal: float
-    operational: float
-
-
-def contraction_rate(N: int, lam: float) -> ContractionRate:
-    """Both decay rates for band N and coefficient lam.
+def contraction_rate(N: int, lam: float) -> float:
+    """Decay rate delta = (alpha_1/2) min(alpha_1, alpha_{N+1} - lam) for band N
+    and coefficient lam, the one rate the Gronwall argument proves.
 
     Raises BandTooSmallError unless alpha_{N+1} > lam (the spectral-gap
     condition the contraction argument needs on (0,1)).
@@ -79,9 +65,7 @@ def contraction_rate(N: int, lam: float) -> ContractionRate:
         raise BandTooSmallError(
             f"need alpha_(N+1) = {a_next:.6g} > lam = {lam:.6g}; enlarge the band"
         )
-    nominal = 2.0 * math.pi * min(0.5 * (N + 1) ** 2 - lam, 1.0)
-    operational = 0.5 * a1 * min(a1, a_next - lam)
-    return ContractionRate(nominal=nominal, operational=operational)
+    return 0.5 * a1 * min(a1, a_next - lam)
 
 
 def control_gain(cov: CovarianceSpec, lam: float) -> float:
@@ -114,14 +98,14 @@ def girsanov_bound(dist0: float, kappa: float, delta: float) -> float:
 @dataclass
 class CoupledEnsemble:
     """Batched coupled pairs sharing per-pair noise streams, on the save grid
-    (row r is pair r), with the band's contraction rate and control gain."""
+    (row r is pair r), with the band's contraction rate delta and control gain."""
 
     times: np.ndarray
     log_weight: np.ndarray  # (R, S) running G
     int_w_sq: np.ndarray  # (R, S) running int |w|^2 ds
     dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances
     failed_step: np.ndarray
-    rate: ContractionRate
+    rate: float  # delta, contraction_rate of the band
     kappa: float  # control_gain of the band
 
     @property
@@ -131,7 +115,7 @@ class CoupledEnsemble:
     def decay_envelope(self, tol: float = CONTRACTION_TOL) -> np.ndarray:
         """(R, S): each pair's start distance times exp(-delta t), times 1 + tol."""
         dist_start = np.sqrt(self.dist_sq_path[:, :1])
-        return dist_start * np.exp(-self.rate.operational * self.times) * (1.0 + tol)
+        return dist_start * np.exp(-self.rate * self.times) * (1.0 + tol)
 
     def fitted_rates(self) -> np.ndarray:
         """(R,): per pair, the least-squares slope of -log(dist) over its
@@ -215,11 +199,11 @@ def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) 
     return GirsanovGap(
         estimate=float(np.mean(gap)),
         se=float(np.std(gap, ddof=1) / math.sqrt(replicas)),
-        bound=girsanov_bound(dist0, ens.kappa, ens.rate.operational),
+        bound=girsanov_bound(dist0, ens.kappa, ens.rate),
         martingale_mean=float(np.mean(weights)),
         martingale_se=float(np.std(weights, ddof=1) / math.sqrt(replicas)),
         kappa=ens.kappa,
-        delta=ens.rate.operational,
+        delta=ens.rate,
         dist0=dist0,
         replicas=replicas,
     )
@@ -265,7 +249,7 @@ def asf_estimate(
         for v in (x0, y0)
     )
 
-    floor = girsanov_bound(dist0, kappa, rate.operational) * phi.sup_bound
+    floor = girsanov_bound(dist0, kappa, rate) * phi.sup_bound
     out = []
     for j, s in enumerate(snap):
         t = s * cfg.dt
@@ -274,6 +258,6 @@ def asf_estimate(
         diff = vx - vy
         lhs = abs(float(np.mean(diff)))
         se = float(np.std(diff, ddof=1) / math.sqrt(replicas))
-        bound = floor + math.exp(-rate.operational * t) * phi.lip * dist0
+        bound = floor + math.exp(-rate * t) * phi.lip * dist0
         out.append(AsfEstimate(t=t, lhs=lhs, se=se, bound=bound))
     return out

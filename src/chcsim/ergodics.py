@@ -70,14 +70,14 @@ def after_burn_in(times: np.ndarray, burn_in: float) -> np.ndarray:
 
 
 def default_burn_in(cfg: SimConfig) -> float:
-    """10 / operational contraction rate of the config's band when available,
+    """10 / delta, the contraction rate of the config's band, when available,
     else T/10."""
     if cfg.potential.active:
         try:
             rate = coupling.contraction_rate(cfg.cov.band, cfg.potential.lam)
         except coupling.BandTooSmallError:
             return cfg.horizon / 10.0
-        burn = 10.0 / rate.operational
+        burn = 10.0 / rate
         if burn < 0.5 * cfg.horizon:
             return burn
     return cfg.horizon / 10.0

@@ -191,9 +191,9 @@ def _couple(cfg, states, y_state, phis, out):
     fitted = float(ens.fitted_rates()[0])
     checks = {
         "contraction_pathwise": bool(np.all(dist <= ens.decay_envelope()[0] + 1e-300)),
-        "fitted_rate": bool(fitted >= 0.9 * ens.rate.operational),
+        "fitted_rate": bool(fitted >= 0.9 * ens.rate),
     }
-    return checks, {"rates": {**ens.rate._asdict(), "fitted": fitted, "kappa": ens.kappa}}
+    return checks, {"rates": {"operational": ens.rate, "fitted": fitted, "kappa": ens.kappa}}
 
 
 def _girsanov(cfg, states, y_state, phis, out):

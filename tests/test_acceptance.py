@@ -130,11 +130,11 @@ def test_criterion_04_coupling_decay():
         y0s = stationary_batch(cfg, R, scale=0.6, slot=1)
         ens = coupling.coupled_ensemble(x0s, y0s, cfg, replicas=R)
         dist = np.sqrt(ens.dist_sq_path)
-        envelope = dist[:, :1] * np.exp(-rate.operational * ens.times)[None, :]
+        envelope = dist[:, :1] * np.exp(-rate * ens.times)[None, :]
         assert np.all(dist <= envelope * 1.05 + 1e-300)
         for r in range(R):
             slope = np.polyfit(ens.times, np.log(dist[r]), 1)[0]
-            assert -slope >= 0.9 * rate.operational
+            assert -slope >= 0.9 * rate
 
 
 def test_criterion_05_girsanov_weight():

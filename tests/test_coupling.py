@@ -15,15 +15,13 @@ PI = math.pi
 
 def test_contraction_rate_values():
     rate = coupling.contraction_rate(1, 1.0)
-    assert rate.nominal == pytest.approx(2 * PI)
-    assert rate.operational == pytest.approx(PI**4 / 2.0, rel=1e-12)
-    assert rate.operational == pytest.approx(48.7045455, abs=1e-6)
+    assert rate == pytest.approx(PI**4 / 2.0, rel=1e-12)
+    assert rate == pytest.approx(48.7045455, abs=1e-6)
 
 
 def test_contraction_rate_positive_without_lambda():
     for N in range(4):
-        rate = coupling.contraction_rate(N, 0.0)
-        assert rate.nominal > 0 and rate.operational > 0
+        assert coupling.contraction_rate(N, 0.0) > 0
 
 
 def test_contraction_rate_band_too_small():
@@ -80,7 +78,7 @@ def test_coupled_contraction_invariants():
     ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
     dist = np.sqrt(ens.dist_sq_path[0])
     d0 = dist[0]
-    delta = ens.rate.operational
+    delta = ens.rate
     envelope = d0 * np.exp(-delta * ens.times) * 1.05
     assert np.all(dist <= envelope)
     # the control's tail integral, with discretization slack
@@ -122,7 +120,7 @@ def test_envelope_and_fitted_rates_are_the_per_pair_formulas():
     assert envelope.shape == ens.dist_sq_path.shape and fitted.shape == (3,)
     for r in range(3):
         dist = np.sqrt(ens.dist_sq_path[r])
-        want = dist[0] * np.exp(-ens.rate.operational * ens.times) * (1.0 + 0.1)
+        want = dist[0] * np.exp(-ens.rate * ens.times) * (1.0 + 0.1)
         assert np.array_equal(envelope[r], want)
         good = dist > 0
         if np.sum(good) < 2:
@@ -248,7 +246,7 @@ def test_asf_trivia_and_floor():
     assert bounds[0] > bounds[1] > bounds[2]
     d0 = spectral.seminorm(x0 - y0, -1.0)
     floor = coupling.girsanov_bound(
-        d0, coupling.control_gain(cfg.cov, 1.0), coupling.contraction_rate(2, 1.0).operational
+        d0, coupling.control_gain(cfg.cov, 1.0), coupling.contraction_rate(2, 1.0)
     )
     assert bounds[2] >= floor
 

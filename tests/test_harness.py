@@ -820,7 +820,7 @@ def test_plot_log_column_reproduces_decay_rate(tmp_path, capsys):
     slope = np.polyfit(t, log10_dist, 1)[0] * np.log(10.0)
     from chcsim.coupling import contraction_rate
 
-    assert -slope >= 0.9 * contraction_rate(2, 1.0).operational
+    assert -slope >= 0.9 * contraction_rate(2, 1.0)
 
 
 def test_run_outputs_bit_exact(tmp_path):
@@ -921,6 +921,6 @@ def test_coupling_decay_script_reports():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(":")[0].strip() for line in lines] == [
-        "nominal rate", "operational rate", "fitted rates", "pathwise envelope",
+        "operational rate", "fitted rates", "pathwise envelope",
     ]
     assert lines[-1] == "pathwise envelope : OK"
