@@ -16,8 +16,7 @@ class ObservableSpec:
 
     fn(states, sim_cfg) evaluates it on states of shape (..., M+1).  For
     bounded-Lipschitz uses (the smoothing estimates) sup_bound and lip must
-    be finite and nonnegative: |phi| <= sup_bound and
-    |phi(x)-phi(y)| <= lip |x-y|_{-1}.
+    be finite and >= 0: |phi| <= sup_bound and |phi(x)-phi(y)| <= lip |x-y|_{-1}.
     """
 
     name: str

@@ -14,10 +14,9 @@ defined on all of R and evaluated in the second form, lam and the factor -2
 folded into the coefficients of one Horner pass in u^2.  The map
 u -> f_n(u) - lam*u is odd and monotone non-increasing; everything the
 simulator asserts about contraction rests on that sign property.  The
-potentials F and F_n (antiderivatives of -f and -f_n) feed the free-energy
-monitor, and the quadratic-in-lambda rate polynomial at the bottom of the
-module controls the dissipation budgets; the README's algebra about them
-(tail bound, discriminant, minimizer) is checked on the test side.
+potential F (an antiderivative of -f) feeds the free-energy monitor, and the
+quadratic-in-lambda rate polynomial at the bottom of the module controls the
+dissipation budgets.
 """
 
 from __future__ import annotations
