@@ -25,15 +25,17 @@ is accumulated with the integrator's own increments (left-point rule), which
 makes exp(G) an exact discrete-time martingale: E[exp(G(T))] = 1 holds for
 every dt, not just in the limit.
 
-``coupled_ensemble`` is the one coupled-pair driver (its ``Engine`` books G
-and int |w|^2 with ``control=True``); its result carries delta, kappa,
-the decay envelope and each pair's fitted rate, and one coupled path is pair 0.
+This module holds the coupling alone: the rate, the gain, the bounds and the
+estimators.  ``coupled_ensemble`` is the one coupled-pair driver; it runs
+``dynamics.run_paths`` with ``control=True``, whose engine books G and
+int |w|^2, and its result carries both copies' states, delta, kappa, the
+decay envelope and each pair's fitted rate; one coupled path is pair 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,13 +99,14 @@ def girsanov_bound(dist0: float, kappa: float, delta: float) -> float:
 
 @dataclass
 class CoupledEnsemble:
-    """Batched coupled pairs sharing per-pair noise streams, on the save grid
+    """Batched coupled pairs sharing per-pair noise streams at the saved steps
     (row r is pair r), with the band's contraction rate delta and control gain."""
 
-    times: np.ndarray
+    times: np.ndarray  # (S,)
+    states: np.ndarray  # (2, R, S, M+1): copy 0 shifted, copy 1 the target
     log_weight: np.ndarray  # (R, S) running G
     int_w_sq: np.ndarray  # (R, S) running int |w|^2 ds
-    dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances
+    dist_sq_path: np.ndarray  # (R, S) squared H^-1 distances of the copies
     failed_step: np.ndarray
     rate: float  # delta, contraction_rate of the band
     kappa: float  # control_gain of the band
@@ -128,35 +131,27 @@ class CoupledEnsemble:
         return out
 
 
-def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int) -> CoupledEnsemble:
+def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int, steps=None) -> CoupledEnsemble:
     """Run `replicas` coupled pairs; pair r draws from stream (seed, r).
 
-    x0/y0 may be single states or (R, M+1) batches of per-pair starts.
-    Results are identical for any thread count (streams are keyed by the
-    absolute pair index and outputs are written by index).  A pair out of
-    halvings aborts the run; a band with alpha_{N+1} <= lam raises
+    x0/y0 may be single states or (R, M+1) batches of per-pair starts.  The
+    pairs run on ``dynamics.run_paths`` with the control on, which keeps both
+    copies and the Girsanov sums at the step indices `steps` (default: the
+    save grid).  Results are identical for any thread count (streams are keyed
+    by the absolute pair index and outputs are written by index).  A pair out
+    of halvings aborts the run; a band with alpha_{N+1} <= lam raises
     BandTooSmallError.
     """
     rate = contraction_rate(cfg.cov.band, cfg.potential.lam)
-    kern = dynamics.Engine(cfg, replicas, copies=2, control=True)
+    steps = dynamics.save_steps(cfg) if steps is None else np.asarray(steps, dtype=np.int64)
     starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
-    pos = dynamics.save_positions(cfg)
-    paths = {k: np.empty((replicas, len(pos))) for k in ("dist_sq", *dynamics.CONTROL_KEYS)}
-
-    def record(span, step, states, *_):
-        j = pos.get(step)
-        if j is not None:
-            n = states.shape[0] // 2
-            paths["dist_sq"][span, j] = spectral.seminorm_sq_many(states[:n] - states[n:], -1.0)
-            for key in dynamics.CONTROL_KEYS:
-                paths[key][span, j] = kern.sums[key][span]
-
-    kern.run(starts, record)
+    kern, states, sums = dynamics.run_paths(cfg, starts, steps, control=True)
     return CoupledEnsemble(
-        times=dynamics.save_steps(cfg) * cfg.dt,
-        log_weight=paths["log_weight"],
-        int_w_sq=paths["int_w_sq"],
-        dist_sq_path=paths["dist_sq"],
+        times=steps * cfg.dt,
+        states=states,
+        log_weight=sums["log_weight"],
+        int_w_sq=sums["int_w_sq"],
+        dist_sq_path=spectral.seminorm_sq_many(states[0] - states[1], -1.0),
         failed_step=kern.failed,
         rate=rate,
         kappa=control_gain(cfg.cov, cfg.potential.lam),
@@ -189,10 +184,10 @@ def girsanov_gap(x0: ModeVector, y0: ModeVector, cfg: SimConfig, replicas: int) 
 
     The bound is exp(v/2) sqrt(v) with v = kappa^2 |x-y|_{-1}^2 / (2 delta);
     the martingale mean E[exp(G(T))] doubles as an exact oracle (= 1).  Only
-    t = 0 and t = T are read, so the pairs run on that two-point save grid.
+    t = 0 and t = T are read, so the pairs keep only those two steps.
     """
     _one_start_pair(x0, y0)
-    ens = coupled_ensemble(x0, y0, replace(cfg, save_every=cfg.steps), replicas)
+    ens = coupled_ensemble(x0, y0, cfg, replicas, (0, cfg.steps))
     weights = np.exp(ens.log_weight[:, -1])
     gap = np.abs(1.0 - weights)
     dist0 = math.sqrt(ens.dist_sq_path[0, 0])

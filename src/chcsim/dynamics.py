@@ -19,15 +19,16 @@ row out of halvings fails: it raises ``StiffEventError`` at once, unless
 ``run_ensemble(..., strict=False)`` parks it at c e_0, where it stays.
 
 The engine books only the Girsanov sums of the band control, and only with
-``control=True`` (``coupling.coupled_ensemble``), for accepted substeps
-only; each driver reads every step through its own record hook.  Paths and
-pairs (``simulate``, ``simulate_many``, ``simulate_pair``) save states on the
-save grid, and a ``Trajectory`` holds only them and its stiff-retry count;
-they run on ``run_paths``, which saves states at any chosen steps.
-``run_ensemble(..., record_budgets=True)`` alone books the Ito budget sums
-(trapezoid / left-point rule, as the energy-budget checks consume them) in
-its hook, for the steps a replica completed.  They never feed back into the
-step, so states are the same either way.
+``control=True``, for accepted substeps only.  ``run_paths`` is the one
+recorder of paths and pairs: its hook keeps the states and the engine's sums
+at any chosen steps.  ``simulate``, ``simulate_many`` and ``simulate_pair``
+run it on the save grid (a ``Trajectory`` holds only the states and its
+stiff-retry count), and ``coupling.coupled_ensemble`` with the control on.
+``run_ensemble`` keeps final states and H^-1 norms; with
+``record_budgets=True`` it alone books the Ito budget sums (trapezoid /
+left-point rule, as the energy-budget checks consume them) in its hook, for
+the steps a replica completed.  They never feed back into the step, so
+states are the same either way.
 
 Noise row r draws its step normals in time blocks from stream (seed, r) and
 its bridge normals from ``noise.bridge_stream(seed, r)``, created at its
@@ -53,6 +54,7 @@ MEAN_TOL = 1e-9
 # per-row sums: run_ensemble's budgets, the engine's coupling controls
 BUDGET_KEYS = ("diss_h1", "diss_h2", "grad_functional", "mart_m1", "mart_0")
 CONTROL_KEYS = ("log_weight", "int_w_sq")
+NONE_REJECTED = np.empty(0, dtype=np.int64)  # the guard's answer when every row passes
 
 
 class StiffEventError(RuntimeError):
@@ -327,9 +329,9 @@ class Engine:
             normals = _noise_blocks(cfg.seed, range(lo, hi), self.active.size, cfg.steps)
             states = starts[:, span].reshape(-1, cfg.M + 1)
             grids = self.grid(states) if self.needs_grid else None
-            if grids is not None and not (ok := self.sup_ok(grids)).all():
+            if grids is not None and (bad := self.rejected_rows(grids)).size:
                 raise StiffEventError("initial state exceeds the sup-norm guard",
-                                      failed_replicas=np.flatnonzero(~ok) + lo)
+                                      failed_replicas=bad + lo)
             record(span, 0, states, grids, None)
             eta = np.zeros((hi - lo, cfg.M + 1))  # only the band columns change
             for step, xi in enumerate(normals, 1):
@@ -358,13 +360,14 @@ class Engine:
         states[sub, 0] = self.cfg.c
         grids[sub] = self.cfg.c
 
-    def sup_ok(self, grids: np.ndarray) -> np.ndarray:
-        """Per noise row: every copy's grid stays within the guard (NaN fails).
-        One max/min pair tests the whole batch; only a batch that fails goes row by row."""
+    def rejected_rows(self, grids: np.ndarray) -> np.ndarray:
+        """The noise rows, in order, at which some copy's grid leaves the guard
+        (NaN does).  One max/min pair tests the whole batch and, if it passes,
+        returns the shared NONE_REJECTED; only a batch that fails goes row by row."""
         if grids.max() <= self.guard and grids.min() >= -self.guard:
-            return np.ones(len(grids) // self.copies, dtype=bool)
+            return NONE_REJECTED
         sup = np.maximum(grids.max(axis=-1), -grids.min(axis=-1)).reshape(self.copies, -1)
-        return np.all(sup <= self.guard, axis=0)
+        return np.flatnonzero(~np.all(sup <= self.guard, axis=0))
 
     def substep(self, rows, states, grids, eta, dt, step, depth=0):
         """Advance noise rows `rows` (a span slice or an index array) by dt
@@ -386,13 +389,8 @@ class Engine:
             down = np.flatnonzero(self.failed[rows] >= 0)
             self._park(cand, cand_grids, self._state_rows(down, k))
 
-        ok = None
-        if cand_grids is not None:
-            ok = self.sup_ok(cand_grids)
-            if ok.all():
-                ok = None
-        if ok is not None:
-            rejected = np.flatnonzero(~ok)
+        rejected = NONE_REJECTED if cand_grids is None else self.rejected_rows(cand_grids)
+        if rejected.size:
             sub = self._state_rows(rejected, k)
             cand[sub], cand_grids[sub] = self._bisect(
                 np.arange(self.failed.size)[rows][rejected], sub,
@@ -405,7 +403,8 @@ class Engine:
             booked = {"log_weight": np.einsum("rk,rk->r", w, dW_band) - 0.5 * w_sq * dt,
                       "int_w_sq": w_sq * dt}
             for key, value in booked.items():
-                self.sums[key][rows] += value if ok is None else np.where(ok, value, 0.0)
+                value[rejected] = 0.0
+                self.sums[key][rows] += value
         return cand, cand_grids
 
     def _bisect(self, rows, sub, states, grids, eta, dt, step, depth):
@@ -438,10 +437,12 @@ class Engine:
         return self._bridges[r]
 
 
-def run_paths(cfg: SimConfig, starts: np.ndarray, steps):
-    """Integrate starts (copies, R, M+1) with stiff retries; returns the
-    engine and every state row at the distinct step indices `steps`, each in
-    0..cfg.steps (else ValueError), as (copies, R, len(steps), M+1) in order."""
+def run_paths(cfg: SimConfig, starts: np.ndarray, steps, *, control: bool = False):
+    """The one recorder of paths and pairs: integrate starts (copies, R, M+1)
+    with stiff retries, the band control on with control=True (see Engine).
+    Returns the engine, every state row at the distinct step indices `steps`,
+    each in 0..cfg.steps (else ValueError), as (copies, R, len(steps), M+1) in
+    order, and {key: (R, len(steps)) running path} of the engine's sums."""
     pos = {}
     for j, s in enumerate(map(int, steps)):
         if s in pos or not 0 <= s <= cfg.steps:
@@ -449,15 +450,18 @@ def run_paths(cfg: SimConfig, starts: np.ndarray, steps):
         pos[s] = j
     copies, R, K = starts.shape
     saved = np.empty((copies, R, len(pos), K))
-    kern = Engine(cfg, R, copies=copies)
+    kern = Engine(cfg, R, copies=copies, control=control)
+    sums = {key: np.empty((R, len(pos))) for key in kern.sums}
 
     def record(span, step, states, *_):
         j = pos.get(step)
         if j is not None:
             saved[:, span, j] = states.reshape(copies, -1, K)
+            for key, path in sums.items():
+                path[span, j] = kern.sums[key][span]
 
     kern.run(starts, record)
-    return kern, saved
+    return kern, saved, sums
 
 
 def _trajectory(cfg: SimConfig, states: np.ndarray, retries: int) -> Trajectory:
@@ -471,7 +475,7 @@ def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
     stiff retries included, for any thread count.
     """
     starts = _tile_starts([getattr(x, "coeffs", x) for x in x_list], cfg, len(x_list))
-    kern, saved = run_paths(cfg, starts[None], save_steps(cfg))
+    kern, saved, _ = run_paths(cfg, starts[None], save_steps(cfg))
     return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
 
 
@@ -493,7 +497,7 @@ def simulate_pair(
     save grid.
     """
     starts = np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)])
-    kern, saved = run_paths(cfg, starts, save_steps(cfg))
+    kern, saved, _ = run_paths(cfg, starts, save_steps(cfg))
     tx, ty = (_trajectory(cfg, saved[c, 0], kern.retries[0]) for c in (0, 1))
     return tx, ty, np.sqrt(spectral.seminorm_sq_many(tx.states - ty.states, -1.0))
 

@@ -94,6 +94,7 @@ def test_coupled_no_lambda_means_no_control():
     assert np.all(ens.int_w_sq == 0.0)
     assert np.all(ens.log_weight == 0.0)
     assert ens.dist_sq_path[0, -1] < ens.dist_sq_path[0, 0]
+    assert np.array_equal(ens.states[0, 0], dynamics.simulate(x0, cfg).states)
 
 
 def test_coupled_check_raises_on_violation():
@@ -178,6 +179,34 @@ def test_band_zero_turns_the_control_off():
     assert np.all(ens.log_weight == 0.0) and np.all(ens.int_w_sq == 0.0)
     _, _, dist = dynamics.simulate_pair(x0, y0, cfg)
     assert np.array_equal(np.sqrt(ens.dist_sq_path[0]), dist)
+    assert np.array_equal(ens.states[0, 0], dynamics.simulate(x0, cfg).states)
+
+
+def test_coupled_target_copy_is_the_plain_path():
+    # the control acts on copy 0 only: copy 1 runs the plain dynamics from y0
+    cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=1.0, seed=41,
+                   save_every=10)
+    x0 = perturbed_state(cfg, 0.5, slot=0)
+    y0 = perturbed_state(cfg, 0.5, slot=1)
+    ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
+    assert np.any(ens.log_weight != 0.0)
+    path = dynamics.simulate(y0, cfg)
+    assert np.array_equal(ens.times, path.times)
+    assert np.array_equal(ens.states[1, 0], path.states)
+
+
+def test_coupled_ensemble_at_chosen_steps_equals_the_full_grid():
+    cfg = make_cfg(M=16, dt=1e-3, T=0.05, cov=standard_cov(16), n=4, lam=1.0, seed=47)
+    x0 = perturbed_state(cfg, 0.5, slot=0)
+    y0 = np.stack([perturbed_state(cfg, 0.5, slot=1).coeffs, perturbed_state(cfg, 0.4).coeffs])
+    steps = (0, 17, cfg.steps)
+    full = coupling.coupled_ensemble(x0, y0, cfg, 2)
+    some = coupling.coupled_ensemble(x0, y0, cfg, 2, steps)
+    assert full.times.size == cfg.steps + 1 and some.states.shape == (2, 2, 3, cfg.M + 1)
+    assert np.array_equal(some.times, full.times[list(steps)])
+    assert np.array_equal(some.states, full.states[:, :, list(steps)])
+    for name in ("dist_sq_path", "log_weight", "int_w_sq"):
+        assert np.array_equal(getattr(some, name), getattr(full, name)[:, list(steps)]), name
 
 
 def test_girsanov_gap_trivia():
@@ -278,18 +307,19 @@ def test_rejected_step_books_no_control(monkeypatch):
     plain = coupling.coupled_ensemble(x0, y0, cfg, 1)
     assert plain.int_w_sq[0, -1] == pytest.approx(0.974e-3, rel=1e-3)
 
-    sup_ok, advance = dynamics.Engine.sup_ok, dynamics.Engine.advance
+    rejected_rows, advance = dynamics.Engine.rejected_rows, dynamics.Engine.advance
     checks, dts = [], []
 
     def reject_first_candidate(self, grids):
         checks.append(len(checks))
-        return sup_ok(self, grids) & (len(checks) != 2)  # check 1 tests the start
+        bad = rejected_rows(self, grids)  # check 1 tests the start
+        return np.union1d(bad, [0]) if len(checks) == 2 else bad
 
     def logged_advance(self, states, eta, dt, nl):
         dts.append(dt)
         return advance(self, states, eta, dt, nl)
 
-    monkeypatch.setattr(dynamics.Engine, "sup_ok", reject_first_candidate)
+    monkeypatch.setattr(dynamics.Engine, "rejected_rows", reject_first_candidate)
     monkeypatch.setattr(dynamics.Engine, "advance", logged_advance)
     ens = coupling.coupled_ensemble(x0, y0, cfg, 1)
     assert dts == [cfg.dt, cfg.dt / 2, cfg.dt / 2] and sum(dts[1:]) == cfg.T

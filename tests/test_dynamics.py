@@ -298,8 +298,9 @@ def test_run_paths_at_chosen_steps_equal_the_ensemble_and_the_paths():
           ModeVector.unit(1, 8, amplitude=0.3)]
     starts = np.array([v.coeffs for v in x0])
     steps = [3, 11, cfg.steps]
-    kern, saved = dynamics.run_paths(cfg, starts[None], steps)
+    kern, saved, sums = dynamics.run_paths(cfg, starts[None], steps)
     assert kern.retries[0] > 0 and saved.shape == (1, 3, len(steps), cfg.M + 1)
+    assert sums == {}  # the engine books no sums without the control
     res = dynamics.run_ensemble(starts, cfg, 3)
     assert res.norm_m1_sq.shape == (3, len(res.times))
     assert np.array_equal(saved[0, :, -1], res.final)
@@ -443,15 +444,15 @@ def test_retried_substeps_equal_the_broadcast_step(monkeypatch):
     # reject row 1 of 3 at its first candidate: it reruns on two dt/2 substeps
     cfg = make_cfg(M=8, dt=1e-3, T=3e-3, seed=17)
     x0 = [perturbed_state(cfg, 0.3, slot=s) for s in range(3)]
-    sup_ok, advance = dynamics.Engine.sup_ok, dynamics.Engine.advance
+    rejected_rows, advance = dynamics.Engine.rejected_rows, dynamics.Engine.advance
     checks, calls = [], []
 
     def reject_row_1_once(self, grids):
         checks.append(grids.shape[0])
-        ok = sup_ok(self, grids)
+        bad = rejected_rows(self, grids)
         if len(checks) == 2:  # check 1 tests the starts
-            ok[1] = False
-        return ok
+            bad = np.union1d(bad, [1])
+        return bad
 
     def checked_advance(self, states, eta, dt, nl):
         expect = broadcast_step(self.cfg, states, eta, dt, nl)
@@ -460,7 +461,7 @@ def test_retried_substeps_equal_the_broadcast_step(monkeypatch):
         assert np.array_equal(out, expect)
         return out
 
-    monkeypatch.setattr(dynamics.Engine, "sup_ok", reject_row_1_once)
+    monkeypatch.setattr(dynamics.Engine, "rejected_rows", reject_row_1_once)
     monkeypatch.setattr(dynamics.Engine, "advance", checked_advance)
     paths = dynamics.simulate_many(x0, cfg)
     assert calls[:3] == [(3, cfg.dt), (1, cfg.dt / 2), (1, cfg.dt / 2)]
@@ -485,19 +486,20 @@ def test_engine_tiles_do_not_grow_with_halving_depth():
     assert shapes[1] == shapes[8] == [(3, 2), (3, cfg.M + 1)]
 
 
-def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
+def test_rejected_rows_match_abs_max_and_reject_nan(rng):
     cfg = make_cfg(M=8, sup_guard=1.0)
     kern = dynamics.Engine(cfg, 4)
     grids = rng.uniform(-1.2, 1.2, size=(4, cfg.grid_size))
     grids[2] = rng.uniform(-0.5, 0.5, size=cfg.grid_size)
     grids[2, 7] = -0.99
     grids[3, 5] = np.nan
-    ok = kern.sup_ok(grids)
-    assert np.array_equal(ok, np.max(np.abs(grids), axis=-1) <= cfg.sup_guard)
-    assert ok[2] and not ok[3]
+    ok = np.max(np.abs(grids), axis=-1) <= cfg.sup_guard
+    bad = kern.rejected_rows(grids)
+    assert bad.dtype == np.int64 and np.array_equal(bad, np.flatnonzero(~ok))
+    assert ok[2] and 3 in bad
     # two copies: noise row r is state rows r and r + 2
     pair = dynamics.Engine(cfg, 2, copies=2)
-    assert np.array_equal(pair.sup_ok(grids), [ok[0] and ok[2], False])
+    assert np.array_equal(pair.rejected_rows(grids), np.flatnonzero([not (ok[0] and ok[2]), True]))
     # the whole-batch test and the per-row fallback against a per-row reference
     guard = cfg.sup_guard
     edges = [np.nan, np.inf, -np.inf, guard, -guard, np.nextafter(guard, np.inf),
@@ -507,9 +509,11 @@ def test_sup_ok_matches_abs_max_and_rejects_nan(rng):
         if edge is not None:
             grids[1, 3] = edge
         want = np.array([bool(np.all(np.abs(g) <= guard)) for g in grids])
-        assert np.array_equal(kern.sup_ok(grids), want)
-        assert np.array_equal(pair.sup_ok(grids), want[:2] & want[2:])
+        assert np.array_equal(kern.rejected_rows(grids), np.flatnonzero(~want))
+        assert np.array_equal(pair.rejected_rows(grids), np.flatnonzero(~(want[:2] & want[2:])))
         assert want.tolist() == [True, edge is None or abs(edge) <= guard, True, True]
+        if want.all():  # a passing batch returns the one shared empty array
+            assert kern.rejected_rows(grids) is dynamics.NONE_REJECTED
 
 
 def test_scatter_noise_overwrites_band_columns_only(rng):

@@ -870,6 +870,19 @@ def test_no_unused_imports():
     assert unused == [], unused
 
 
+def test_only_dynamics_constructs_an_engine():
+    # run_paths and run_ensemble are the recorders: a driver elsewhere that
+    # built its own Engine would grow a second save-grid hook
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "chcsim")
+    builders = []
+    for path in sorted(glob.glob(os.path.join(root, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        builders += [os.path.basename(path) for n in ast.walk(tree) if isinstance(n, ast.Call)
+                     and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Engine"]
+    assert sorted(set(builders)) == ["dynamics.py"], builders
+
+
 # definitions that only the tests read: the exact dealiasing size
 TEST_ONLY = ("spectral.exact_dealias_size",)
 
