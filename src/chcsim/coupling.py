@@ -138,9 +138,9 @@ def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int, steps=None) -> Coupl
     pairs run on ``dynamics.run_paths`` with the control on, which keeps both
     copies and the Girsanov sums at the step indices `steps` (default: the
     save grid).  Results are identical for any thread count (streams are keyed
-    by the absolute pair index and outputs are written by index).  A pair out
-    of halvings aborts the run; a band with alpha_{N+1} <= lam raises
-    BandTooSmallError.
+    by the absolute pair index and outputs are written by index).  Pairs out
+    of halvings raise StiffEventError after the run, which names them all; a
+    band with alpha_{N+1} <= lam raises BandTooSmallError.
     """
     rate = contraction_rate(cfg.cov.band, cfg.potential.lam)
     steps = dynamics.save_steps(cfg) if steps is None else np.asarray(steps, dtype=np.int64)

@@ -15,8 +15,8 @@ batch in which each noise stream drives one row (paths, ensembles) or two
 stacked rows (pairs, coupled pairs).  A step tests the grid sup-norm against
 the guard per noise row and retries a rejected row on halved substeps by
 Brownian-bridge refinement of its increment, up to ``max_halvings`` deep.  A
-row out of halvings fails: it raises ``StiffEventError`` at once, unless
-``run_ensemble(..., strict=False)`` parks it at c e_0, where it stays.
+row out of halvings is parked at c e_0, where it stays, and the run goes on;
+``require_completed`` then raises ``StiffEventError`` naming every failed row.
 
 The engine books only the Girsanov sums of the band control, and only with
 ``control=True``, for accepted substeps only.  ``run_paths`` is the one
@@ -58,9 +58,9 @@ NONE_REJECTED = np.empty(0, dtype=np.int64)  # the guard's answer when every row
 
 
 class StiffEventError(RuntimeError):
-    """The grid sup-norm exceeded the guard and retries were exhausted."""
+    """Rows failed_replicas left the sup-norm guard at the start or out of halvings."""
 
-    def __init__(self, message: str, failed_replicas: np.ndarray | None = None):
+    def __init__(self, message: str, failed_replicas: np.ndarray):
         super().__init__(message)
         self.failed_replicas = failed_replicas
 
@@ -139,11 +139,6 @@ def save_steps(cfg: SimConfig) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def save_positions(cfg: SimConfig) -> dict[int, int]:
-    """{step: its position on the save grid} for every saved step."""
-    return {int(s): j for j, s in enumerate(save_steps(cfg))}
-
-
 def _tile_starts(x0, cfg: SimConfig, replicas: int) -> np.ndarray:
     """The (R, M+1) starts: x0 is one start (a ModeVector or coefficients)
     for every replica, or R per-replica starts; each must have mean c."""
@@ -204,12 +199,11 @@ class Engine:
     noise row r drives state rows r, r + n, ... and draws from stream r.
     control=True (two copies) takes copy 0's lambda-term on the band of
     cfg.cov at copy 1 and books that control's Girsanov sums, the engine's
-    only sums.  A row out of halvings raises, or with strict=False is marked
-    in failed at its step and parked.  sums, failed and retries are per row.
+    only sums.  A row out of halvings is marked in failed at its step and
+    parked.  sums, failed and retries are per row.
     """
 
-    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, strict: bool = True,
-                 control: bool = False):
+    def __init__(self, cfg: SimConfig, rows: int, *, copies: int = 1, control: bool = False):
         self.cfg = cfg
         self.Q = cfg.grid_size
         self.alpha = spectral.eigenvalues(cfg.M)
@@ -229,7 +223,6 @@ class Engine:
         )
         self.rows = rows
         self.copies = copies
-        self.strict = strict
         self.control = control
         self.band = slice(1, cfg.cov.band + 1)  # the control's modes 1..N
         self.w_gain = -(0.5 * spec.lam) * self.alpha[self.band]
@@ -318,10 +311,14 @@ class Engine:
         record(span, step, states, grids, eta) sees each span's batch, its
         grids (None without a potential) and the step's increments per noise
         row (None at step 0), at the start and after every step; eta is
-        overwritten by the next step.  Results do not depend on the thread
-        count.
+        overwritten by the next step.  Starts outside the guard raise before
+        any step, all named.  Results do not depend on the thread count.
         """
         cfg = self.cfg
+        if self.needs_grid and (bad := self.rejected_rows(
+                self.grid(starts.reshape(-1, cfg.M + 1)))).size:
+            raise StiffEventError(f"initial state of {bad.size} row(s) (first: {bad[0]}) "
+                                  f"exceeds the sup-norm guard {self.guard}", failed_replicas=bad)
         final = np.empty_like(starts)
 
         def span_run(lo, hi):
@@ -329,9 +326,6 @@ class Engine:
             normals = _noise_blocks(cfg.seed, range(lo, hi), self.active.size, cfg.steps)
             states = starts[:, span].reshape(-1, cfg.M + 1)
             grids = self.grid(states) if self.needs_grid else None
-            if grids is not None and (bad := self.rejected_rows(grids)).size:
-                raise StiffEventError("initial state exceeds the sup-norm guard",
-                                      failed_replicas=bad + lo)
             record(span, 0, states, grids, None)
             eta = np.zeros((hi - lo, cfg.M + 1))  # only the band columns change
             for step, xi in enumerate(normals, 1):
@@ -412,13 +406,6 @@ class Engine:
         halved substeps whose increments bridge the rejected eta; rows out of
         halvings fail at this step."""
         if depth >= self.cfg.max_halvings:
-            if self.strict:
-                raise StiffEventError(
-                    f"{rows.size} row(s) (first: {rows[0]}) exceeded the sup-norm guard "
-                    f"{self.guard} at step {step} after {self.cfg.max_halvings} halvings "
-                    f"of dt={self.cfg.dt}",
-                    failed_replicas=rows,
-                )
             self.failed[rows] = step
             self.parked = True
             out = states[sub], grids[sub]
@@ -437,12 +424,21 @@ class Engine:
         return self._bridges[r]
 
 
+def require_completed(failed: np.ndarray, cfg: SimConfig) -> None:
+    """Raise StiffEventError naming every row out of halvings (failed >= 0)."""
+    if (rows := np.flatnonzero(failed >= 0)).size:
+        raise StiffEventError(f"{rows.size} row(s) (first: {rows[0]}) exceeded the sup-norm "
+                              f"guard at step {failed[rows].min()} after {cfg.max_halvings} "
+                              f"halvings of dt={cfg.dt}", failed_replicas=rows)
+
+
 def run_paths(cfg: SimConfig, starts: np.ndarray, steps, *, control: bool = False):
     """The one recorder of paths and pairs: integrate starts (copies, R, M+1)
-    with stiff retries, the band control on with control=True (see Engine).
-    Returns the engine, every state row at the distinct step indices `steps`,
-    each in 0..cfg.steps (else ValueError), as (copies, R, len(steps), M+1) in
-    order, and {key: (R, len(steps)) running path} of the engine's sums."""
+    with stiff retries, the band control on with control=True (see Engine);
+    a failed row raises after the run (``require_completed``).  Returns the
+    engine, every state row at the distinct step indices `steps`, each in
+    0..cfg.steps (else ValueError), as (copies, R, len(steps), M+1) in order,
+    and {key: (R, len(steps)) running path} of the engine's sums."""
     pos = {}
     for j, s in enumerate(map(int, steps)):
         if s in pos or not 0 <= s <= cfg.steps:
@@ -461,6 +457,7 @@ def run_paths(cfg: SimConfig, starts: np.ndarray, steps, *, control: bool = Fals
                 path[span, j] = kern.sums[key][span]
 
     kern.run(starts, record)
+    require_completed(kern.failed, cfg)
     return kern, saved, sums
 
 
@@ -528,24 +525,23 @@ def run_ensemble(
     replicas: int,
     *,
     record_budgets: bool = False,
-    strict: bool = True,
 ) -> EnsembleResult:
     """Integrate `replicas` independent copies with per-replica noise streams.
 
     x0 is one ModeVector shared by all replicas or an (R, M+1) array of
     per-replica starts.  Stream r is keyed by (cfg.seed, r),
     so results are bit-identical for any thread count, and member r equals
-    ``simulate_many``'s path r.  A replica out of halvings aborts the run,
-    or with strict=False is parked at c e_0 and surfaced in failed_step.
+    ``simulate_many``'s path r.  A replica out of halvings is parked at c e_0
+    and surfaced in failed_step, and the run goes on (see ``require_completed``).
     Only final states are kept (``run_paths`` saves states at chosen steps).
     Each replica's squared H^-1 norm is recorded on the save grid;
     record_budgets books the five budget sums over the steps each replica
     completed (see the module docstring).
     """
     starts = _tile_starts(x0, cfg, replicas)
-    pos = save_positions(cfg)
+    pos = {int(s): j for j, s in enumerate(save_steps(cfg))}
     norm_m1_sq = np.empty((replicas, len(pos)))
-    kern = Engine(cfg, replicas, strict=strict)
+    kern = Engine(cfg, replicas)
     budgets = {k: np.zeros(replicas) for k in BUDGET_KEYS} if record_budgets else {}
     last = {}  # span start -> (states, integrands) of the step before
 

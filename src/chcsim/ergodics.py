@@ -235,11 +235,13 @@ def exit_probability(
     """Probability of sitting inside the ball around the flat state at time T.
 
     A positive Clopper-Pearson lower bound is the reachability evidence; the
-    probe certifies positivity only, not a rate.
+    probe certifies positivity only, not a rate.  Replicas out of stiff-step
+    halvings raise StiffEventError after the run (``require_completed``).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     res = dynamics.run_ensemble(x0, cfg, replicas)
+    dynamics.require_completed(res.failed_step, cfg)
     dist_sq = spectral.seminorm_sq_many(res.final, -1.0)  # reads no mode 0: c e_0 drops out
     hits = int(np.sum(dist_sq <= radius * radius))
     p = hits / replicas
@@ -297,7 +299,8 @@ def truncation_sweep(
     Every order reuses the identical per-replica noise streams, so the
     Cauchy differences isolate the effect of the truncation tail instead of
     being swamped by Monte Carlo noise.  A replica out of stiff-step
-    halvings is parked, left out of that order's mean and counted in its row.
+    halvings is parked, left out of that order's mean and counted in its row;
+    fewer than two left raise StiffEventError naming the parked ones.
     """
     n_list = list(n_list)
     if any(b > a for a, b in zip(n_list[1:], n_list[:-1])):
@@ -306,12 +309,13 @@ def truncation_sweep(
     rows = {phi.name: [] for phi in phi_list}
     for n in n_list:
         run_cfg = replace(cfg, potential=PotentialSpec.truncated(n, lam))
-        res = dynamics.run_ensemble(x0, run_cfg, replicas, strict=False)
+        res = dynamics.run_ensemble(x0, run_cfg, replicas)
         ok = res.failed_step < 0
         n_ok = int(np.sum(ok))
         if n_ok < 2:
             raise dynamics.StiffEventError(
-                f"truncation order {n}: {replicas - n_ok} of {replicas} replicas stiff"
+                f"truncation order {n}: {replicas - n_ok} of {replicas} replicas stiff",
+                failed_replicas=np.flatnonzero(~ok),
             )
         for phi in phi_list:
             vals = observables.evaluate(phi, res.final[ok], run_cfg)

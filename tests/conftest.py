@@ -50,6 +50,16 @@ def perturbed_state(cfg, scale, slot=0):
     return ModeVector(base)
 
 
+def six_stiff_starts():
+    """lam = 60 at n = 0 grows mode 1 deterministically: over T = 0.1 the starts
+    0..0.5 e_1 run out of halvings at steps [4, 4, 2, 1, 1, 1], larger ones first."""
+    cfg = make_cfg(M=8, dt=1e-2, T=0.1, cov=standard_cov(8), n=0, lam=60.0, sup_guard=1.0,
+                   seed=3)
+    x0 = np.zeros((6, cfg.M + 1))
+    x0[:, 1] = np.linspace(0.0, 0.5, 6)
+    return cfg, x0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

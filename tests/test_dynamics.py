@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chcsim import coupling, dynamics, kinds, noise, observables, spectral
+from chcsim import coupling, dynamics, ergodics, kinds, noise, observables, spectral
 from chcsim.dynamics import StiffEventError
 from chcsim.noise import CovarianceSpec
 from chcsim.spectral import ModeVector
 
-from conftest import band_cov, make_cfg, perturbed_state, standard_cov
+from conftest import band_cov, make_cfg, perturbed_state, six_stiff_starts, standard_cov
 
 PI4 = math.pi**4
 
@@ -187,11 +187,11 @@ def test_ensemble_member_equals_path_through_stiff_retries():
     )
     x0 = ModeVector.unit(2, 8, amplitude=0.85)
     traj = dynamics.simulate(x0, cfg)
-    res = dynamics.run_ensemble(x0, cfg, 3, strict=False)
+    res = dynamics.run_ensemble(x0, cfg, 3)
     assert res.failed_step.tolist() == [-1, -1, -1]
     assert np.array_equal(res.final[0], traj.states[-1])
     # no halvings: a row fails at its first rejection
-    res = dynamics.run_ensemble(x0, dataclasses.replace(cfg, max_halvings=0), 3, strict=False)
+    res = dynamics.run_ensemble(x0, dataclasses.replace(cfg, max_halvings=0), 3)
     assert res.failed_step.tolist() == [2, 2, 2]
 
 
@@ -207,10 +207,13 @@ def _one_stiff_row():
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_strict_ensemble_raises_naming_the_row_out_of_halvings(threads):
+def test_exit_probability_raises_naming_the_row_out_of_halvings(threads):
+    # the ensemble marks the row and runs on; the probe needs every replica
     cfg, starts = _one_stiff_row()
+    cfg = dataclasses.replace(cfg, threads=threads)
+    assert dynamics.run_ensemble(starts, cfg, 3).failed_step.tolist() == [-1, 1, -1]
     with pytest.raises(StiffEventError, match="at step 1") as err:
-        dynamics.run_ensemble(starts, dataclasses.replace(cfg, threads=threads), 3)
+        ergodics.exit_probability(starts, 0.1, cfg, 3)
     assert err.value.failed_replicas.tolist() == [1]
 
 
@@ -218,7 +221,7 @@ def test_strict_ensemble_raises_naming_the_row_out_of_halvings(threads):
 def test_parked_row_keeps_c_e0_while_the_others_finish(threads):
     cfg, starts = _one_stiff_row()
     cfg = dataclasses.replace(cfg, threads=threads)
-    res = dynamics.run_ensemble(starts, cfg, 3, strict=False)
+    res = dynamics.run_ensemble(starts, cfg, 3)
     assert res.failed_step.tolist() == [-1, 1, -1]
     assert np.array_equal(res.final[1], ModeVector.constant(cfg.c, cfg.M).coeffs)
     assert np.all(res.norm_m1_sq[1, 1:] == 0.0)
@@ -229,15 +232,42 @@ def test_parked_row_keeps_c_e0_while_the_others_finish(threads):
 
 
 def test_ensemble_surfaces_stiff_replicas():
-    cfg = make_cfg(
-        M=4, dt=1e-2, T=0.1, cov=CovarianceSpec.zero(4), n=0, lam=60.0, sup_guard=1.0
-    )
     x0 = ModeVector.unit(1, 4, amplitude=0.5)
-    with pytest.raises(StiffEventError):
-        dynamics.run_ensemble(x0, cfg, 4)
-    res = dynamics.run_ensemble(x0, cfg, 4, strict=False)
-    assert res.n_failed == 4
-    assert np.all(res.failed_step >= 0)
+    for threads in (1, 3):
+        cfg = make_cfg(M=4, dt=1e-2, T=0.1, cov=CovarianceSpec.zero(4), n=0, lam=60.0,
+                       sup_guard=1.0, threads=threads)
+        res = dynamics.run_ensemble(x0, cfg, 4)
+        assert res.n_failed == 4
+        assert np.all(res.failed_step >= 0)
+        with pytest.raises(StiffEventError, match=f"at step {res.failed_step.min()}") as err:
+            ergodics.exit_probability(x0, 0.1, cfg, 4)
+        assert err.value.failed_replicas.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize(
+    "run",
+    [lambda x0, cfg: dynamics.simulate_many(list(x0), cfg),
+     lambda x0, cfg: coupling.coupled_ensemble(x0[0], x0, cfg, len(x0))],
+    ids=["simulate_many", "coupled_ensemble"],
+)
+def test_stiff_event_names_every_failed_row_for_any_thread_count(run, threads):
+    # a failed row is parked and the run goes on, so every span reports its rows
+    cfg, x0 = six_stiff_starts()
+    with pytest.raises(StiffEventError, match="at step 1") as err:
+        run(x0, dataclasses.replace(cfg, threads=threads))
+    assert err.value.failed_replicas.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bad_starts_are_all_named_before_any_step(threads):
+    cfg = make_cfg(M=4, dt=1e-3, T=0.01, cov=CovarianceSpec.zero(4), n=2, sup_guard=0.2,
+                   threads=threads)
+    x0 = np.zeros((6, cfg.M + 1))
+    x0[[1, 4], 1] = 0.5
+    with pytest.raises(StiffEventError, match="initial state") as err:
+        dynamics.simulate_many(list(x0), cfg)
+    assert err.value.failed_replicas.tolist() == [1, 4]
 
 
 def test_pair_identical_starts():
@@ -304,9 +334,9 @@ def test_run_paths_at_chosen_steps_equal_the_ensemble_and_the_paths():
     res = dynamics.run_ensemble(starts, cfg, 3)
     assert res.norm_m1_sq.shape == (3, len(res.times))
     assert np.array_equal(saved[0, :, -1], res.final)
-    pos = dynamics.save_positions(cfg)
+    marks = dynamics.save_steps(cfg).tolist()
     for r, traj in enumerate(dynamics.simulate_many(x0, cfg)):
-        assert np.array_equal(saved[0, r], traj.states[[pos[s] for s in steps]])
+        assert np.array_equal(saved[0, r], traj.states[[marks.index(s) for s in steps]])
 
 
 def test_sim_config_validation():
@@ -474,7 +504,7 @@ def test_engine_tiles_do_not_grow_with_halving_depth():
     for halvings in (1, 8):
         cfg = make_cfg(M=8, dt=1e-2, T=0.02, cov=standard_cov(8), n=0, lam=60.0,
                        sup_guard=1.0, seed=3, max_halvings=halvings)
-        eng = dynamics.Engine(cfg, 3, strict=False)
+        eng = dynamics.Engine(cfg, 3)
         starts = np.zeros((1, 3, cfg.M + 1))
         starts[0, 1, 1] = 0.5
         eng.run(starts, lambda *args: None)
@@ -544,15 +574,11 @@ def test_gapped_band_ensemble_ignores_threads_and_matches_simulate():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_failed_replica_books_only_its_completed_steps(threads):
-    # lam = 60 at n = 0 grows mode 1 deterministically: the larger starts fail first
-    cfg = make_cfg(M=8, dt=1e-2, T=0.1, cov=standard_cov(8), n=0, lam=60.0, sup_guard=1.0,
-                   seed=3)
-    x0 = np.zeros((6, cfg.M + 1))
-    x0[:, 1] = np.linspace(0.0, 0.5, 6)
+    cfg, x0 = six_stiff_starts()
 
     def budgets(cfg):
         res = dynamics.run_ensemble(x0, dataclasses.replace(cfg, threads=threads), 6,
-                                    record_budgets=True, strict=False)
+                                    record_budgets=True)
         return res.failed_step, res.budgets
 
     failed, booked = budgets(cfg)

@@ -11,7 +11,7 @@ from chcsim.ergodics import InsufficientDataError
 from chcsim.noise import CovarianceSpec
 from chcsim.spectral import ModeVector
 
-from conftest import make_cfg, perturbed_state, standard_cov
+from conftest import make_cfg, perturbed_state, six_stiff_starts, standard_cov
 
 
 def _ou_cfg(T, seed=61, dt=5e-4, save_every=10):
@@ -155,6 +155,22 @@ def test_truncation_sweep_decreasing_differences():
     name = "seminorm[-1]"
     assert sweep.monotone_decreasing(name)
     assert all(r.failed == 0 for r in sweep.rows[name])
+
+
+def test_truncation_sweep_counts_parked_rows_and_needs_two_survivors():
+    # of the six starts, failing at steps [4, 4, 2, 1, 1, 1], two steps leave
+    # rows 0 and 1 and ten steps leave none
+    full, x0 = six_stiff_starts()
+    cfg = replace(full, T=0.02)
+    phi = observables.seminorm(-1.0)
+    (row,) = ergodics.truncation_sweep(x0, [0], [phi], cfg, replicas=6).rows[phi.name]
+    res = dynamics.run_ensemble(x0, cfg, 6)
+    assert res.failed_step.tolist() == [-1, -1, 2, 1, 1, 1]
+    assert row.failed == 4
+    assert row.mean == float(np.mean(observables.evaluate(phi, res.final[:2], cfg)))
+    with pytest.raises(dynamics.StiffEventError, match="6 of 6") as err:
+        ergodics.truncation_sweep(x0, [0], [phi], full, replicas=6)
+    assert err.value.failed_replicas.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_truncation_sweep_rejects_decreasing_orders():
