@@ -15,8 +15,9 @@ batch in which each noise stream drives one row (paths, ensembles) or two
 stacked rows (pairs, coupled pairs).  A step tests the grid sup-norm against
 the guard per noise row and retries a rejected row on halved substeps by
 Brownian-bridge refinement of its increment, up to ``max_halvings`` deep.  A
-row out of halvings is parked at c e_0, where it stays, and the run goes on;
-``require_completed`` then raises ``StiffEventError`` naming every failed row.
+row out of halvings is parked at c e_0, where it stays, and the run goes on
+until every row of its span has failed; ``require_completed`` then raises
+``StiffEventError`` naming every failed row.
 
 The engine books only the Girsanov sums of the band control, and only with
 ``control=True``, for accepted substeps only.  ``run_paths`` is the one
@@ -312,25 +313,36 @@ class Engine:
         grids (None without a potential) and the step's increments per noise
         row (None at step 0), at the start and after every step; eta is
         overwritten by the next step.  Starts outside the guard raise before
-        any step, all named.  Results do not depend on the thread count.
+        any step, all named; each span slices its start grids from that one
+        check.  Once every row of a span is parked, the span draws and steps
+        no more, and record sees its remaining steps with the parked states
+        and zero increments.  Results do not depend on the thread count.
         """
         cfg = self.cfg
-        if self.needs_grid and (bad := self.rejected_rows(
-                self.grid(starts.reshape(-1, cfg.M + 1)))).size:
-            raise StiffEventError(f"initial state of {bad.size} row(s) (first: {bad[0]}) "
-                                  f"exceeds the sup-norm guard {self.guard}", failed_replicas=bad)
+        start_grids = None
+        if self.needs_grid:
+            start_grids = self.grid(starts)
+            if (bad := self.rejected_rows(start_grids)).size:
+                raise StiffEventError(f"initial state of {bad.size} row(s) (first: {bad[0]}) "
+                                      f"exceeds the sup-norm guard {self.guard}",
+                                      failed_replicas=bad)
         final = np.empty_like(starts)
 
         def span_run(lo, hi):
             span = slice(lo, hi)
             normals = _noise_blocks(cfg.seed, range(lo, hi), self.active.size, cfg.steps)
             states = starts[:, span].reshape(-1, cfg.M + 1)
-            grids = self.grid(states) if self.needs_grid else None
+            grids = None if start_grids is None else start_grids[:, span].reshape(-1, self.Q)
             record(span, 0, states, grids, None)
             eta = np.zeros((hi - lo, cfg.M + 1))  # only the band columns change
             for step, xi in enumerate(normals, 1):
                 self.scatter_noise(xi, cfg.dt, eta)
                 states, grids = self.substep(span, states, grids, eta, cfg.dt, step)
+                record(span, step, states, grids, eta)
+                if self.parked and np.all(self.failed[span] >= 0):
+                    break
+            eta.fill(0.0)  # steps left only if every row is parked: none moves again
+            for step in range(step + 1, cfg.steps + 1):
                 record(span, step, states, grids, eta)
             final[:, span] = states.reshape(self.copies, hi - lo, -1)
 

@@ -78,7 +78,9 @@ class PotentialSpec:
     @functools.cached_property
     def horner(self) -> tuple[float, tuple[float, ...], float | None]:
         """f_n's folded coefficients, built once: (c_0, (c_{n-1}..c_1), c_n or None at n=0)."""
-        coeffs = [self.lam - 2.0] + [-2.0 / (2 * k + 1) for k in range(1, self.n + 1)]
+        # numpy scalars: a ufunc takes them without converting a Python float per call
+        coeffs = [np.float64(self.lam - 2.0)] + [np.float64(-2.0 / (2 * k + 1))
+                                                 for k in range(1, self.n + 1)]
         return coeffs[0], tuple(coeffs[-2:0:-1]), coeffs[-1] if self.n else None
 
     @property
@@ -102,15 +104,18 @@ def nonlinearity_poly(u, spec: PotentialSpec):
         raise ValueError("nonlinearity_poly requires a truncated PotentialSpec")
     u_arr = np.asarray(u, dtype=np.float64)
     flat_u = u_arr.reshape(-1)
-    out = np.empty(flat_u.size)
+    size = flat_u.size
+    out, u2 = np.empty(size), np.empty(min(POLY_BLOCK, size))
     c0, middle, top = spec.horner
-    u2 = np.empty(min(POLY_BLOCK, flat_u.size))
-    for lo in range(0, flat_u.size, POLY_BLOCK):
-        x, acc = flat_u[lo : lo + POLY_BLOCK], out[lo : lo + POLY_BLOCK]
+    # (u, out, u^2) per block; an input of one block passes its whole arrays
+    blocks = [(flat_u, out, u2)] if size <= POLY_BLOCK else [
+        (flat_u[lo : lo + POLY_BLOCK], out[lo : lo + POLY_BLOCK], u2[: min(POLY_BLOCK, size - lo)])
+        for lo in range(0, size, POLY_BLOCK)
+    ]
+    for x, acc, sq in blocks:
         if top is None:  # n = 0: f_0(u) = c_0 u
             np.multiply(x, c0, out=acc)
             continue
-        sq = u2[: x.size]
         np.multiply(x, x, out=sq)
         np.multiply(sq, top, out=acc)
         for c in middle:

@@ -14,16 +14,18 @@ the midpoint nodes theta_q = (q + 1/2)/Q, both as arrays over the last axis.
 Midpoint nodes keep the discrete cosine family exactly orthogonal, so
 analyze_many/synthesize_many is an exact round trip on band-limited data.
 Both directions multiply by a cached cosine matrix, and BLAS only ever sees
-tiles of exactly ``TILE`` rows (the last one zero-padded): a row's bits then
-depend on that row alone, never on the batch it shares or on how many worker
-threads split the batch.  They do depend on the BLAS build and CPU, and from
-about M = 96 on, where OpenBLAS splits one tile's product over its own
-threads, on OPENBLAS_NUM_THREADS.
+tiles of exactly ``TILE`` = 8 rows (the last one zero-padded): a row's bits
+then depend on that row alone, never on the batch it shares or on how many
+worker threads split the batch.  They do depend on the BLAS build and CPU,
+and from M = 192 on (analysis, measured on two CPUs) on OPENBLAS_NUM_THREADS.
 
 At N of order 30 modes a matrix product beats an FFT-based transform (Boyd,
 Chebyshev and Fourier Spectral Methods, 2001, ch. 10): at M = 32, Q = 132 it
-is faster than a DCT from one row up.  At M >= 64 a batch of a few rows pays
-for its padded tile and runs slower than a DCT would.
+is faster than a DCT from one row up.  The tile is the smallest whose
+1000-row transforms there cost about what 32-row tiles do, so a path or a
+pair pays for 8 rows, not 32.  Each tile is one BLAS call, which packs the
+whole cosine matrix: at M = 256 a 1000-row batch takes twice as long as on
+32-row tiles, and a batch of a few rows is still slower than a DCT.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 # rows per BLAS call of the transforms; every call has exactly this many
-TILE = 32
+TILE = 8
 
 
 def eigenvalue(k: int) -> float:
@@ -133,21 +135,21 @@ def _cosine_matrices(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tiled_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """x @ mat over the last axis of x, calling BLAS on TILE-row tiles only: the
-    full tiles as one stack, the rest (maybe the whole batch) as one padded tile."""
-    rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-    (R, K), N = rows.shape, mat.shape[1]
-    if R < TILE:  # the padded tile's product is the result
-        tile = np.zeros((TILE, K))
-        tile[:R] = rows
-        return np.matmul(tile, mat)[:R].reshape(x.shape[:-1] + (N,))
-    out = np.empty((R, N))
+    full tiles as one stack, the rest (maybe the whole batch) copied straight
+    into one zero-padded tile whose product fills out's last tile."""
+    (K, N), lead = mat.shape, x.shape[:-1]
+    R = math.prod(lead)
     full = R - R % TILE
-    np.matmul(rows[:full].reshape(-1, TILE, K), mat, out=out[:full].reshape(-1, TILE, N))
+    out = np.empty((full + TILE if full < R else R, N))
+    if full:
+        rows = np.ascontiguousarray(x).reshape(R, K)
+        np.matmul(rows[:full].reshape(-1, TILE, K), mat, out=out[:full].reshape(-1, TILE, N))
+        x = rows[full:]
     if full < R:
         tile = np.zeros((TILE, K))
-        tile[: R - full] = rows[full:]
-        out[full:] = np.matmul(tile, mat)[: R - full]
-    return out.reshape(x.shape[:-1] + (N,))
+        tile[: R - full].reshape(x.shape)[...] = x
+        np.matmul(tile, mat, out=out[full:])
+    return out[:R].reshape(lead + (N,))
 
 
 def synthesize_many(coeffs: np.ndarray, Q: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from chcsim import coupling, dynamics, ergodics, kinds, noise, observables, spectral
+from chcsim import coupling, dynamics, ergodics, kinds, noise, observables, runner, spectral
+from chcsim.config import parse_config_text
 from chcsim.dynamics import StiffEventError
 from chcsim.noise import CovarianceSpec
 from chcsim.spectral import ModeVector
@@ -257,6 +259,30 @@ def test_stiff_event_names_every_failed_row_for_any_thread_count(run, threads):
     with pytest.raises(StiffEventError, match="at step 1") as err:
         run(x0, dataclasses.replace(cfg, threads=threads))
     assert err.value.failed_replicas.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def test_a_span_whose_rows_all_failed_stops_stepping(monkeypatch, tmp_path):
+    # configs/ergodic.cfg at lam = 60, n = 0, sup_guard = 1: the paths run out of
+    # halvings at steps 19 and 9 of 50,000, and the run stops stepping at step 19
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "ergodic.cfg")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("lambda = 1\n", "lambda = 60\n").replace("n = 4\n", "n = 0\n")
+    cfg = parse_config_text(text + "sup_guard = 1\n")
+    assert cfg.sim.steps == 50_000
+    steps = []
+    substep = dynamics.Engine.substep
+
+    def counted(self, rows, states, grids, eta, dt, step, depth=0):
+        steps.append(step)
+        return substep(self, rows, states, grids, eta, dt, step, depth)
+
+    monkeypatch.setattr(dynamics.Engine, "substep", counted)
+    with pytest.raises(StiffEventError, match="at step 9 ") as err:
+        runner.run(cfg, override_out=str(tmp_path))
+    assert err.value.failed_replicas.tolist() == [0, 1]
+    assert max(steps) == 19
+    assert len(steps) < 100  # 19 steps and their retries
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -615,7 +641,7 @@ def test_h_integrands_equal_seminorms_and_the_plain_formula(rng, n):
 
 
 def test_h_integrands_rows_do_not_depend_on_the_batch(rng):
-    # 37 rows: one full 32-row tile and a padded partial one
+    # 37 rows: whole tiles and a padded partial one (37 is no multiple of TILE)
     cfg = make_cfg(M=32, n=4)
     eng = dynamics.Engine(cfg, 37)
     states = 0.1 * rng.standard_normal((37, cfg.M + 1))

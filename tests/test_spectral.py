@@ -167,8 +167,9 @@ def test_transform_row_does_not_depend_on_its_tile(rng, M, Q):
         tile[r] = v
         assert np.array_equal(spectral.analyze_many(tile, M)[r], alone_coeffs)
     # every batch size, below, at and above one tile, against one row per tile
+    T = spectral.TILE
     for mat in spectral._cosine_matrices(M, Q):
-        for R in (0, 1, 2, 31, 32, 33, 65):
+        for R in (0, 1, 2, T - 1, T, T + 1, 2 * T + 1):
             x = rng.standard_normal((R, mat.shape[0]))
             want = np.empty((R, mat.shape[1]))
             for i, row in enumerate(x):
@@ -178,19 +179,22 @@ def test_transform_row_does_not_depend_on_its_tile(rng, M, Q):
             assert np.array_equal(spectral._tiled_matmul(x, mat), want)
 
 
+# (M, Q) of the BLAS-thread test: at M = 96 and 128 the product of a 32-row
+# tile depended on the BLAS thread count on two CPUs; an 8-row tile's does not
+_THREAD_SIZES = ((32, 132), (8, 36), (96, 388), (128, 516))
 # the transforms in a fresh interpreter limited to one BLAS thread
 _ONE_THREAD_PROBE = """
 import sys
 import numpy as np
 from chcsim import spectral
 out = {}
-for M, Q in ((32, 132), (8, 36)):
+for M, Q in %r:
     rng = np.random.default_rng(M)
     out[f"s{M}"] = spectral.synthesize_many(rng.standard_normal((75, M + 1)), Q)
     out[f"a{M}"] = spectral.analyze_many(rng.standard_normal((75, Q)), M)
 np.savez(sys.argv[1], **out)
 print("scipy.fft" in sys.modules)
-"""
+""" % (_THREAD_SIZES,)
 
 
 def test_transforms_equal_single_thread_blas(tmp_path):
@@ -204,7 +208,7 @@ def test_transforms_equal_single_thread_blas(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"  # the package does not load scipy.fft
     single = np.load(path)
-    for M, Q in ((32, 132), (8, 36)):
+    for M, Q in _THREAD_SIZES:
         rng = np.random.default_rng(M)
         grid = spectral.synthesize_many(rng.standard_normal((75, M + 1)), Q)
         assert np.array_equal(grid, single[f"s{M}"])
