@@ -319,20 +319,25 @@ class Engine:
         and zero increments.  Results do not depend on the thread count.
         """
         cfg = self.cfg
-        start_grids = None
+        n = min(cfg.threads, starts.shape[1])
+        bounds = [int(b) for b in np.linspace(0, starts.shape[1], n + 1)]
+        start_grids = dict.fromkeys(bounds[:-1])  # span start -> its start grids
         if self.needs_grid:
-            start_grids = self.grid(starts)
-            if (bad := self.rejected_rows(start_grids)).size:
+            checked = self.grid(starts)
+            if (bad := self.rejected_rows(checked)).size:
                 raise StiffEventError(f"initial state of {bad.size} row(s) (first: {bad[0]}) "
                                       f"exceeds the sup-norm guard {self.guard}",
                                       failed_replicas=bad)
+            start_grids = {lo: checked[:, lo:hi].reshape(-1, self.Q)
+                           for lo, hi in zip(bounds[:-1], bounds[1:])}
+            del checked  # each span's slice alone holds it, until that span's first step
         final = np.empty_like(starts)
 
         def span_run(lo, hi):
             span = slice(lo, hi)
             normals = _noise_blocks(cfg.seed, range(lo, hi), self.active.size, cfg.steps)
             states = starts[:, span].reshape(-1, cfg.M + 1)
-            grids = None if start_grids is None else start_grids[:, span].reshape(-1, self.Q)
+            grids = start_grids.pop(lo)
             record(span, 0, states, grids, None)
             eta = np.zeros((hi - lo, cfg.M + 1))  # only the band columns change
             for step, xi in enumerate(normals, 1):
@@ -346,8 +351,6 @@ class Engine:
                 record(span, step, states, grids, eta)
             final[:, span] = states.reshape(self.copies, hi - lo, -1)
 
-        n = min(cfg.threads, starts.shape[1])
-        bounds = [int(b) for b in np.linspace(0, starts.shape[1], n + 1)]
         if n == 1:
             span_run(*bounds)
         else:

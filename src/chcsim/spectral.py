@@ -145,10 +145,10 @@ def _tiled_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(x).reshape(R, K)
         np.matmul(rows[:full].reshape(-1, TILE, K), mat, out=out[:full].reshape(-1, TILE, N))
         x = rows[full:]
-    if full < R:
+    if full < R:  # np.dot: the same BLAS call as matmul's, with less overhead
         tile = np.zeros((TILE, K))
         tile[: R - full].reshape(x.shape)[...] = x
-        np.matmul(tile, mat, out=out[full:])
+        np.dot(tile, mat, out=out[full:])
     return out[:R].reshape(lead + (N,))
 
 
