@@ -144,8 +144,7 @@ def coupled_ensemble(x0, y0, cfg: SimConfig, replicas: int, steps=None) -> Coupl
     """
     rate = contraction_rate(cfg.cov.band, cfg.potential.lam)
     steps = dynamics.save_steps(cfg) if steps is None else np.asarray(steps, dtype=np.int64)
-    starts = np.stack([dynamics._tile_starts(v, cfg, replicas) for v in (x0, y0)])
-    kern, states, sums = dynamics.run_paths(cfg, starts, steps, control=True)
+    kern, states, sums = dynamics.run_paths(cfg, (x0, y0), replicas, steps, control=True)
     return CoupledEnsemble(
         times=steps * cfg.dt,
         states=states,
@@ -239,10 +238,7 @@ def asf_estimate(
     if any(s < 1 or s > cfg.steps for s in snap):
         raise ValueError("requested times fall outside the horizon")
     # one run per start, so that each row retries on its own path
-    states_x, states_y = (
-        dynamics.run_paths(cfg, dynamics._tile_starts(v, cfg, replicas)[None], snap)[1][0]
-        for v in (x0, y0)
-    )
+    states_x, states_y = (dynamics.run_paths(cfg, (v,), replicas, snap)[1][0] for v in (x0, y0))
 
     floor = girsanov_bound(dist0, kappa, rate) * phi.sup_bound
     out = []

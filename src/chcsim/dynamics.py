@@ -15,17 +15,19 @@ batch in which each noise stream drives one row (paths, ensembles) or two
 stacked rows (pairs, coupled pairs).  A step tests the grid sup-norm against
 the guard per noise row and retries a rejected row on halved substeps by
 Brownian-bridge refinement of its increment, up to ``max_halvings`` deep.  A
-row out of halvings is parked at c e_0, where it stays, and the run goes on
-until every row of its span has failed; ``require_completed`` then raises
-``StiffEventError`` naming every failed row.
+row out of halvings is parked at c e_0, where it stays, and the others run
+on; a span whose rows have all failed stops.  ``run_paths`` then raises
+``StiffEventError`` naming every failed row; ``run_ensemble`` reports them.
 
 The engine books only the Girsanov sums of the band control, and only with
 ``control=True``, for accepted substeps only.  ``run_paths`` is the one
-recorder of paths and pairs: its hook keeps the states and the engine's sums
-at any chosen steps.  ``simulate``, ``simulate_many`` and ``simulate_pair``
-run it on the save grid (a ``Trajectory`` holds only the states and its
-stiff-retry count), and ``coupling.coupled_ensemble`` with the control on.
-``run_ensemble`` keeps final states and H^-1 norms; with
+recorder of paths and pairs: it tiles the starts its callers hold, and its
+hook keeps the states and the engine's sums at any chosen steps.
+``simulate``, ``simulate_many`` and ``simulate_pair`` run it on the save grid
+(a ``Trajectory`` holds only the states and its stiff-retry count),
+``coupling`` on its coupled pairs and smoothing starts and
+``ergodics.exit_probability`` at the horizon.  ``run_ensemble`` parks and
+goes on: it keeps final states and H^-1 norms; with
 ``record_budgets=True`` it alone books the Ito budget sums (trapezoid /
 left-point rule, as the energy-budget checks consume them) in its hook, for
 the steps a replica completed.  They never feed back into the step, so
@@ -314,9 +316,8 @@ class Engine:
         row (None at step 0), at the start and after every step; eta is
         overwritten by the next step.  Starts outside the guard raise before
         any step, all named; each span slices its start grids from that one
-        check.  Once every row of a span is parked, the span draws and steps
-        no more, and record sees its remaining steps with the parked states
-        and zero increments.  Results do not depend on the thread count.
+        check.  Once every row of a span is parked, the span draws, steps and
+        records no more.  Results do not depend on the thread count.
         """
         cfg = self.cfg
         n = min(cfg.threads, starts.shape[1])
@@ -346,9 +347,6 @@ class Engine:
                 record(span, step, states, grids, eta)
                 if self.parked and np.all(self.failed[span] >= 0):
                     break
-            eta.fill(0.0)  # steps left only if every row is parked: none moves again
-            for step in range(step + 1, cfg.steps + 1):
-                record(span, step, states, grids, eta)
             final[:, span] = states.reshape(self.copies, hi - lo, -1)
 
         if n == 1:
@@ -439,19 +437,13 @@ class Engine:
         return self._bridges[r]
 
 
-def require_completed(failed: np.ndarray, cfg: SimConfig) -> None:
-    """Raise StiffEventError naming every row out of halvings (failed >= 0)."""
-    if (rows := np.flatnonzero(failed >= 0)).size:
-        raise StiffEventError(f"{rows.size} row(s) (first: {rows[0]}) exceeded the sup-norm "
-                              f"guard at step {failed[rows].min()} after {cfg.max_halvings} "
-                              f"halvings of dt={cfg.dt}", failed_replicas=rows)
-
-
-def run_paths(cfg: SimConfig, starts: np.ndarray, steps, *, control: bool = False):
-    """The one recorder of paths and pairs: integrate starts (copies, R, M+1)
-    with stiff retries, the band control on with control=True (see Engine);
-    a failed row raises after the run (``require_completed``).  Returns the
-    engine, every state row at the distinct step indices `steps`, each in
+def run_paths(cfg: SimConfig, starts, replicas: int, steps, *, control: bool = False):
+    """The one recorder of paths and pairs: integrate `replicas` rows of each
+    copy with stiff retries, the band control on with control=True (see
+    Engine).  starts holds one entry per copy, one start for every row or
+    `replicas` per-row starts (as ``_tile_starts`` takes them).  Rows out of
+    halvings raise StiffEventError after the run, naming them all.  Returns
+    the engine, every state row at the distinct step indices `steps`, each in
     0..cfg.steps (else ValueError), as (copies, R, len(steps), M+1) in order,
     and {key: (R, len(steps)) running path} of the engine's sums."""
     pos = {}
@@ -459,6 +451,7 @@ def run_paths(cfg: SimConfig, starts: np.ndarray, steps, *, control: bool = Fals
         if s in pos or not 0 <= s <= cfg.steps:
             raise ValueError(f"steps: step {s} is repeated or outside 0..{cfg.steps}")
         pos[s] = j
+    starts = np.stack([_tile_starts(v, cfg, replicas) for v in starts])
     copies, R, K = starts.shape
     saved = np.empty((copies, R, len(pos), K))
     kern = Engine(cfg, R, copies=copies, control=control)
@@ -472,7 +465,10 @@ def run_paths(cfg: SimConfig, starts: np.ndarray, steps, *, control: bool = Fals
                 path[span, j] = kern.sums[key][span]
 
     kern.run(starts, record)
-    require_completed(kern.failed, cfg)
+    if (rows := np.flatnonzero(kern.failed >= 0)).size:
+        raise StiffEventError(f"{rows.size} row(s) (first: {rows[0]}) exceeded the sup-norm "
+                              f"guard at step {kern.failed[rows].min()} after {cfg.max_halvings} "
+                              f"halvings of dt={cfg.dt}", failed_replicas=rows)
     return kern, saved, sums
 
 
@@ -486,9 +482,9 @@ def simulate_many(x_list, cfg: SimConfig) -> list[Trajectory]:
     Trajectory i equals ``simulate`` of start i on stream i bit for bit,
     stiff retries included, for any thread count.
     """
-    starts = _tile_starts([getattr(x, "coeffs", x) for x in x_list], cfg, len(x_list))
-    kern, saved, _ = run_paths(cfg, starts[None], save_steps(cfg))
-    return [_trajectory(cfg, saved[0, r], kern.retries[r]) for r in range(starts.shape[0])]
+    starts = [getattr(x, "coeffs", x) for x in x_list]
+    kern, saved, _ = run_paths(cfg, (starts,), len(starts), save_steps(cfg))
+    return [_trajectory(cfg, states, retries) for states, retries in zip(saved[0], kern.retries)]
 
 
 def simulate(x0: ModeVector, cfg: SimConfig) -> Trajectory:
@@ -508,8 +504,7 @@ def simulate_pair(
     Returns both trajectories and the path of |X(t,x) - X(t,y)|_{-1} on the
     save grid.
     """
-    starts = np.stack([_tile_starts(v, cfg, 1) for v in (x0, y0)])
-    kern, saved, _ = run_paths(cfg, starts, save_steps(cfg))
+    kern, saved, _ = run_paths(cfg, (x0, y0), 1, save_steps(cfg))
     tx, ty = (_trajectory(cfg, saved[c, 0], kern.retries[0]) for c in (0, 1))
     return tx, ty, np.sqrt(spectral.seminorm_sq_many(tx.states - ty.states, -1.0))
 
@@ -547,15 +542,16 @@ def run_ensemble(
     per-replica starts.  Stream r is keyed by (cfg.seed, r),
     so results are bit-identical for any thread count, and member r equals
     ``simulate_many``'s path r.  A replica out of halvings is parked at c e_0
-    and surfaced in failed_step, and the run goes on (see ``require_completed``).
+    and surfaced in failed_step, and the run goes on (where ``run_paths`` raises).
     Only final states are kept (``run_paths`` saves states at chosen steps).
-    Each replica's squared H^-1 norm is recorded on the save grid;
+    Each replica's squared H^-1 norm is recorded on the save grid, 0 where a
+    parked replica's span has stopped (its c e_0 has norm 0);
     record_budgets books the five budget sums over the steps each replica
     completed (see the module docstring).
     """
     starts = _tile_starts(x0, cfg, replicas)
     pos = {int(s): j for j, s in enumerate(save_steps(cfg))}
-    norm_m1_sq = np.empty((replicas, len(pos)))
+    norm_m1_sq = np.zeros((replicas, len(pos)))
     kern = Engine(cfg, replicas)
     budgets = {k: np.zeros(replicas) for k in BUDGET_KEYS} if record_budgets else {}
     last = {}  # span start -> (states, integrands) of the step before

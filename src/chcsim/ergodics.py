@@ -236,13 +236,12 @@ def exit_probability(
 
     A positive Clopper-Pearson lower bound is the reachability evidence; the
     probe certifies positivity only, not a rate.  Replicas out of stiff-step
-    halvings raise StiffEventError after the run (``require_completed``).
+    halvings raise StiffEventError after the run (``run_paths``).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    res = dynamics.run_ensemble(x0, cfg, replicas)
-    dynamics.require_completed(res.failed_step, cfg)
-    dist_sq = spectral.seminorm_sq_many(res.final, -1.0)  # reads no mode 0: c e_0 drops out
+    final = dynamics.run_paths(cfg, (x0,), replicas, (cfg.steps,))[1][0, :, 0]
+    dist_sq = spectral.seminorm_sq_many(final, -1.0)  # reads no mode 0: c e_0 drops out
     hits = int(np.sum(dist_sq <= radius * radius))
     p = hits / replicas
     return ExitProbe(

@@ -129,13 +129,6 @@ class LinearLaw:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
-    def sample(self, rng: np.random.Generator) -> ModeVector:
-        out = self.mean.copy()
-        hot = np.flatnonzero(self.var > 0.0)
-        if hot.size:
-            out[hot] += rng.standard_normal(hot.size) * np.sqrt(self.var[hot])
-        return ModeVector(out)
-
 
 def linear_law(x: ModeVector, t: float, cov: CovarianceSpec) -> LinearLaw:
     """Exact transition law of the linear equation started at x.
@@ -169,6 +162,9 @@ def sample_stationary_gaussian(c: float, cov: CovarianceSpec, rng: np.random.Gen
     Mode 0 is pinned to c; mode k >= 1 is N(0, b_k / alpha_k^2).
     """
     var = stationary_variances(cov)
-    mean = np.zeros(cov.order + 1)
-    mean[0] = c
-    return LinearLaw(mean=mean, var=var, t=float("inf")).sample(rng)
+    out = np.zeros(cov.order + 1)
+    out[0] = c
+    hot = np.flatnonzero(var > 0.0)
+    if hot.size:
+        out[hot] += rng.standard_normal(hot.size) * np.sqrt(var[hot])
+    return ModeVector(out)

@@ -340,7 +340,20 @@ def test_run_paths_rejects_steps_out_of_range_or_repeated(steps, bad):
     cfg = make_cfg(M=8, dt=1e-3, T=0.04)
     starts = np.zeros((1, 1, cfg.M + 1))
     with pytest.raises(ValueError, match=rf"step {bad} is repeated or outside 0\.\.40"):
-        dynamics.run_paths(cfg, starts, steps)
+        dynamics.run_paths(cfg, starts, 1, steps)
+
+
+def test_run_paths_takes_one_start_or_one_per_row():
+    # a shared start as a ModeVector, as coefficients or tiled by hand runs
+    # the same rows; a per-row batch must hold one start per replica
+    cfg = make_cfg(M=8, dt=1e-3, T=0.04)
+    x0 = perturbed_state(cfg, 0.3)
+    forms = (x0, x0.coeffs, np.tile(x0.coeffs, (3, 1)))
+    saved = [dynamics.run_paths(cfg, (v,), 3, [0, 17, cfg.steps])[1] for v in forms]
+    assert saved[0].shape == (1, 3, 3, cfg.M + 1)
+    assert all(np.array_equal(saved[0], other) for other in saved[1:])
+    with pytest.raises(ValueError, match=r"starts must have shape \(3, 9\), got \(2, 9\)"):
+        dynamics.run_paths(cfg, (np.tile(x0.coeffs, (2, 1)),), 3, [cfg.steps])
 
 
 def test_run_paths_at_chosen_steps_equal_the_ensemble_and_the_paths():
@@ -354,7 +367,7 @@ def test_run_paths_at_chosen_steps_equal_the_ensemble_and_the_paths():
           ModeVector.unit(1, 8, amplitude=0.3)]
     starts = np.array([v.coeffs for v in x0])
     steps = [3, 11, cfg.steps]
-    kern, saved, sums = dynamics.run_paths(cfg, starts[None], steps)
+    kern, saved, sums = dynamics.run_paths(cfg, (starts,), 3, steps)
     assert kern.retries[0] > 0 and saved.shape == (1, 3, len(steps), cfg.M + 1)
     assert sums == {}  # the engine books no sums without the control
     res = dynamics.run_ensemble(starts, cfg, 3)

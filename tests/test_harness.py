@@ -871,7 +871,8 @@ def test_no_unused_imports():
 
 
 def test_only_dynamics_constructs_an_engine():
-    # run_paths and run_ensemble are the recorders: a driver elsewhere that
+    # run_paths (which tiles the starts and raises for a failed row) and
+    # run_ensemble (which parks it) are the recorders: a driver elsewhere that
     # built its own Engine would grow a second save-grid hook
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "chcsim")
     builders = []
@@ -920,6 +921,38 @@ def test_no_unused_definitions():
                 names = []
             unused += [f"{module[:-3]}.{name}" for name in names if name not in read]
     assert sorted(unused) == sorted(TEST_ONLY), sorted(unused)
+
+
+# (reading file, module._name) reads allowed across modules: the budget's
+# gradient products must use the transforms' fixed tiles, which keep a row's
+# bits independent of the rows it shares a batch with
+PRIVATE_READS = (("dynamics.py", "spectral._tiled_matmul"),)
+
+
+def test_private_names_stay_in_their_module():
+    # a _-prefixed chcsim name is read only in its own module, whether through
+    # an imported module (dynamics._x) or imported itself (from .dynamics import _x)
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    modules = {os.path.basename(p)[:-3] for p in glob.glob(os.path.join(root, "src/chcsim/*.py"))}
+    found = set()
+    for path in sorted(glob.glob(os.path.join(root, "src/chcsim/*.py"))
+                       + glob.glob(os.path.join(root, "scripts/*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        name, alias = os.path.basename(path), {}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.level or n.module.startswith("chcsim")):
+                mod = (n.module or "chcsim").rpartition(".")[2]  # "chcsim": the package
+                for a in n.names:
+                    if mod == "chcsim" and a.name in modules:
+                        alias[a.asname or a.name] = a.name
+                    elif a.name.startswith("_") and mod in modules and mod != name[:-3]:
+                        found.add((name, f"{mod}.{a.name}"))
+        found |= {(name, f"{alias[n.value.id]}.{n.attr}") for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                  and not n.attr.startswith("__") and getattr(n.value, "id", None) in alias
+                  and alias[n.value.id] != name[:-3]}
+    assert sorted(found) == sorted(PRIVATE_READS), sorted(found)
 
 
 def test_coupling_decay_script_reports():
